@@ -76,12 +76,16 @@ def render_gray(spec: FrameSpec) -> Tuple[np.ndarray, List[Tuple[int, int]]]:
     return np.clip(img, 0.0, 1.0), centers
 
 
+#: RGB channel a signal hue lights up (yellow = red + green).
+_HUE_CHANNEL = {"red": 0, "yellow": None, "green": 1}
+
+
 def render_color(spec: FrameSpec, hue: str) -> np.ndarray:
     """Render an RGB frame with ``spec.n_targets`` blobs of a given hue.
 
     Hues: ``red``/``yellow``/``green`` (traffic-signal heads).
     """
-    channel = {"red": 0, "yellow": None, "green": 1}[hue]
+    channel = _HUE_CHANNEL[hue]
     gray, _centers = render_gray_cached(spec)
     img = np.stack([gray * 0.3] * 3, axis=-1)
     mask = gray > 0.5
@@ -122,9 +126,13 @@ def sliding_box_sums(ii: np.ndarray, win: int, stride: int = 2) -> Tuple[np.ndar
     h, w = ii.shape[0] - 1, ii.shape[1] - 1
     ys = np.arange(0, h - win + 1, stride)
     xs = np.arange(0, w - win + 1, stride)
-    y0 = ys[:, None]
-    x0 = xs[None, :]
-    sums = box_sum(ii, y0, x0, y0 + win, x0 + win)
+    # :func:`box_sum` on the stride grid, as four strided views of ``ii``
+    # (window origins ``top``/``left``, the opposite corners ``far``)
+    # instead of four fancy-index gathers; same terms, same order.
+    top = slice(0, max(0, h - win + 1), stride)
+    left = slice(0, max(0, w - win + 1), stride)
+    far = slice(win, None, stride)
+    sums = ii[far, far] - ii[top, far] - ii[far, left] + ii[top, left]
     return sums, ys, xs
 
 
@@ -189,9 +197,10 @@ def circularity(patch: np.ndarray) -> float:
 # re-request the same frames, which made redundant rendering one of the
 # largest CPU sinks of a full sweep.
 #
-# Rendered images are large (~150 KB gray / ~450 KB color), so the image
-# caches stay small; the derived-result caches are tiny tuples and can be
-# generous.
+# Rendered gray images are large (~150 KB), so that cache stays small; the
+# derived-result caches are tiny tuples and can be generous.  There is no
+# colour cache: the colour detectors read two numbers off the gray frame
+# (see :func:`_flat_color`) and never render RGB.
 
 _IMAGE_CACHE_SIZE = 32
 _RESULT_CACHE_SIZE = 1 << 16
@@ -203,14 +212,6 @@ def render_gray_cached(spec: FrameSpec) -> Tuple[np.ndarray, Tuple[Tuple[int, in
     img, centers = render_gray(spec)
     img.setflags(write=False)
     return img, tuple(centers)
-
-
-@lru_cache(maxsize=_IMAGE_CACHE_SIZE)
-def render_color_cached(spec: FrameSpec, hue: str) -> np.ndarray:
-    """Memoized :func:`render_color`; the image is returned read-only."""
-    img = render_color(spec, hue)
-    img.setflags(write=False)
-    return img
 
 
 def flatten_channels(img: np.ndarray) -> np.ndarray:
@@ -239,11 +240,22 @@ def count_blobs(spec: FrameSpec) -> int:
     return len(detect_blobs(img))
 
 
+# The two colour detectors below never render RGB.  :func:`render_color`
+# dims every channel to ``gray * 0.3`` and restores full ``gray`` on the
+# hue's channel(s) where ``gray > 0.5``, so a channel the hue lights is
+# ``where(gray > 0.5, gray, gray * 0.3)`` — which is also the per-pixel
+# channel maximum, for all three hues — and any other channel is
+# ``gray * 0.3``.  The tests hold both against the rendered reference.
+
+
 @lru_cache(maxsize=_RESULT_CACHE_SIZE)
 def channel_maxima(spec: FrameSpec, hue: str) -> Tuple[float, float]:
     """``(red_max, green_max)`` of the frame's color rendering."""
-    img = render_color_cached(spec, hue)
-    return float(img[..., 0].max()), float(img[..., 1].max())
+    channel = _HUE_CHANNEL[hue]
+    peak = float(render_gray_cached(spec)[0].max())
+    dim = peak * 0.3  # scaling by a positive constant commutes with max
+    lit = peak if peak > 0.5 else dim
+    return (dim if channel == 1 else lit), (dim if channel == 0 else lit)
 
 
 @lru_cache(maxsize=_RESULT_CACHE_SIZE)
@@ -256,7 +268,10 @@ def brightest_blob(
     detector threshold — exactly the values SignalGuru's shape filter
     used to recompute per replica from a fresh render.
     """
-    img = flatten_channels(render_color_cached(spec, hue))
+    if hue not in _HUE_CHANNEL:
+        raise KeyError(hue)
+    gray, _centers = render_gray_cached(spec)
+    img = np.where(gray > 0.5, gray, gray * 0.3)
     blobs = detect_blobs(img)
     if not blobs:
         return None
@@ -268,7 +283,6 @@ def brightest_blob(
 def clear_vision_caches() -> None:
     """Drop all memoized rendering/detection results (tests, memory)."""
     render_gray_cached.cache_clear()
-    render_color_cached.cache_clear()
     count_blobs.cache_clear()
     channel_maxima.cache_clear()
     brightest_blob.cache_clear()

@@ -26,7 +26,7 @@ import numpy as np
 
 from repro.net.packet import Message
 from repro.net.wifi import Unreachable, WifiCell
-from repro.util.bitmaps import bitmap_bytes, received_bytes
+from repro.util.bitmaps import bitmap_bytes
 from repro.util.units import KB
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -115,6 +115,25 @@ def _subtree_members(tree: Dict[Any, List[Any]], root: Any) -> List[Any]:
     return out
 
 
+def _columns(have: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """``have[:, cols]`` for sorted block indices ``cols`` — the matrix
+    itself, no gather, when that is every block (a fleet-sized cell
+    misses every block somewhere)."""
+    return have if cols.size == have.shape[1] else have[:, cols]
+
+
+def _merge(have: np.ndarray, rows: Any, cols: np.ndarray, got: np.ndarray) -> None:
+    """``have[rows, cols] |= got``; ``rows`` may be ``slice(None)``."""
+    if cols.size < have.shape[1]:
+        # numpy scatters into columns bit by bit (~6 ns each).  Widening
+        # ``got`` to every block is one gather instead: blocks that were
+        # not sent read a False pad column.
+        src = np.full(have.shape[1], cols.size)
+        src[cols] = np.arange(cols.size)
+        got = np.take(np.pad(got, ((0, 0), (0, 1))), src, axis=1)
+    have[rows] |= got
+
+
 def broadcast_checkpoint(
     sim: "Simulator",
     wifi: WifiCell,
@@ -126,9 +145,12 @@ def broadcast_checkpoint(
 ):
     """Process: push ``total_size`` bytes from ``sender`` to every cell member.
 
-    Returns a :class:`BroadcastOutcome`.  Receivers that leave the cell
-    mid-broadcast simply stop accumulating blocks (their flag in
-    ``complete`` stays False).
+    Returns a :class:`BroadcastOutcome`.  The wave's state is one
+    ``(receivers, blocks)`` bool matrix, a row per phone that was in the
+    cell when the wave started: phones that join later are ignored,
+    receivers that leave mid-broadcast simply stop accumulating blocks
+    (their flag in ``complete`` stays False).  Bitmap queries and relay
+    transfers remain one simulated exchange per member.
     """
     settings = settings or BroadcastSettings()
     if total_size <= 0:
@@ -140,26 +162,34 @@ def broadcast_checkpoint(
 
     outcome = BroadcastOutcome(total_size=total_size, n_blocks=n_blocks)
     ft_bytes = trace.counter("ft.network_bytes") if trace is not None else None
-    have: Dict[Any, np.ndarray] = {
-        m: np.zeros(n_blocks, dtype=bool) for m in wifi.iter_members() if m != sender
-    }
-    if not have:
+    members = [m for m in wifi.iter_members() if m != sender]
+    if not members:
         return outcome
+    row_of = {m: row for row, m in enumerate(members)}
+    have = np.zeros((len(members), n_blocks), dtype=bool)
 
-    to_send = np.arange(n_blocks)
+    def live_rows() -> Any:
+        """Rows of the members still in the cell (all of them: a slice)."""
+        live = [row for row, m in enumerate(members) if wifi.is_member(m)]
+        return slice(None) if len(live) == len(members) else live
+
+    missing = np.arange(n_blocks)
     prev_total_received = 0
 
     n_rounds = (settings.max_rounds if settings.udp_rounds is None
                 else settings.udp_rounds)
     for _round in range(n_rounds):
         result = yield from wifi.udp_broadcast_round(
-            sender, to_send, block, last_block_size=last_block_size, kind=kind
+            sender, missing, block, last_block_size=last_block_size, kind=kind
         )
         # Merge this round's receptions into the cumulative bitmaps.
-        for member, got in result.received.items():
-            bm = have.get(member)
-            if bm is not None:
-                bm[to_send[got]] = True
+        if result.receivers == members:
+            _merge(have, slice(None), missing, result.bitmaps)
+        else:
+            # Churn since the wave began: map the round's rows onto ours.
+            heard = [i for i, m in enumerate(result.receivers) if m in row_of]
+            rows = [row_of[result.receivers[i]] for i in heard]
+            _merge(have, rows, missing, result.bitmaps[heard])
         outcome.udp_bytes += result.bytes_sent
         if ft_bytes is not None:
             # Counted as the bytes hit the air (a slow broadcast must not
@@ -169,7 +199,7 @@ def broadcast_checkpoint(
 
         # Query every receiver for its bitmap (request + reply).
         reply = bitmap_bytes(n_blocks)
-        for member in list(have):
+        for member in members:
             if not wifi.is_member(member):
                 continue
             try:
@@ -181,47 +211,48 @@ def broadcast_checkpoint(
             except Unreachable:
                 continue
 
-        total_received = sum(
-            received_bytes(bm, block, total_size) for bm in have.values()
+        total_received = (
+            int(np.count_nonzero(have)) * block
+            + int(np.count_nonzero(have[:, -1])) * (last_block_size - block)
         )
         gain = total_received - prev_total_received
         prev_total_received = total_received
-        outcome.rounds.append(RoundStats(len(to_send), cost, gain))
+        outcome.rounds.append(RoundStats(len(missing), cost, gain))
 
-        anded = np.ones(n_blocks, dtype=bool)
-        for member, bm in have.items():
-            if wifi.is_member(member):
-                anded &= bm
-        missing = np.flatnonzero(~anded)
+        # AND the live bitmaps: a block any of them lacks is resent.
+        missing = np.flatnonzero(~have[live_rows()].all(axis=0))
         if missing.size == 0:
             break
         if settings.udp_rounds is None and cost > gain:
             # "until cost exceeds gain" — stop broadcasting, go reliable.
             break
-        to_send = missing
 
     # Final phase: reliable TCP through the relay tree.  Each tree edge
     # carries the union of the blocks still missing in the subtree below.
-    present = [m for m in have if wifi.is_member(m)]
-    if present:
-        tree = relay_tree([sender] + present)
-        order = _subtree_members(tree, sender)
-        for parent in order:
+    rows = live_rows()
+    present = members if isinstance(rows, slice) else [members[r] for r in rows]
+    if present and missing.size:
+        relay = [sender] + present
+        # The tree over positions in ``relay``: children sit after their
+        # parent, so one reverse pass folds every subtree.  need[i] is
+        # the blocks (of ``missing``, the only ones anyone lacks) missing
+        # somewhere under relay[i].
+        tree = relay_tree(list(range(len(relay))))
+        need = np.zeros((len(relay), missing.size), dtype=bool)
+        np.logical_not(_columns(have[rows], missing), out=need[1:])
+        for i in range(len(relay) - 1, 0, -1):
+            need[(i - 1) // 2] |= need[i]
+        has_last = missing[-1] == n_blocks - 1
+        for parent in _subtree_members(tree, 0):
             for child in tree[parent]:
-                sub = _subtree_members(tree, child)
-                need = np.zeros(n_blocks, dtype=bool)
-                for m in sub:
-                    bm = have.get(m)
-                    if bm is not None:
-                        need |= ~bm
-                n_need = int(need.sum())
+                n_need = int(np.count_nonzero(need[child]))
                 if n_need == 0:
                     continue
                 nbytes = n_need * block
-                if need[-1]:
+                if has_last and need[child, -1]:
                     nbytes += last_block_size - block
-                msg = Message(src=parent, dst=child, size=nbytes, kind=f"{kind}_tcp",
-                              payload=("ckpt_tcp",))
+                msg = Message(src=relay[parent], dst=relay[child], size=nbytes,
+                              kind=f"{kind}_tcp", payload=("ckpt_tcp",))
                 try:
                     yield from wifi.tcp_unicast(msg)
                 except Unreachable:
@@ -229,12 +260,10 @@ def broadcast_checkpoint(
                 outcome.tcp_bytes += nbytes
                 if ft_bytes is not None:
                     ft_bytes.add(nbytes)
-                bm = have.get(child)
-                if bm is not None:
-                    bm[:] = True
+                have[row_of[relay[child]]] = True
 
-    for member, bm in have.items():
-        outcome.complete[member] = bool(bm.all()) and wifi.is_member(member)
+    for member, full in zip(members, have.all(axis=1).tolist()):
+        outcome.complete[member] = full and wifi.is_member(member)
     outcome.duration = sim.now - start
     if trace is not None:
         trace.record(

@@ -707,7 +707,7 @@ class Region:
             for chain in range(self.placement.replication_factor):
                 assignment = self.placement.chain_assignment(chain)
                 ng = self.graph.node_graph(assignment)
-                pairs.update(ng.edges())
+                pairs.update(ng.edges)
             for src, dst in sorted(pairs):
                 src_node = self.nodes.get(src)
                 if src_node is None or not src_node.alive:

@@ -74,16 +74,36 @@ class WifiConfig:
             raise ValueError("mean_loss must be in [0, 1)")
 
 
+#: Row-block size of the uniform-loss draw, in fragments: a round samples
+#: at most this many uniforms at a time (8 MiB of float64) however many
+#: receivers the cell has.  PCG64 fills arrays row-major, so blocking
+#: does not change which double lands on which (receiver, fragment).
+DRAW_BLOCK_FRAGS = 1 << 20
+
+
 @dataclass
 class BroadcastRoundResult:
-    """Outcome of one UDP broadcast round (one sender, many receivers)."""
+    """Outcome of one UDP broadcast round (one sender, many receivers).
 
-    #: Map receiver id -> bool array over the *indices sent this round*.
-    received: Dict[Any, np.ndarray]
+    The reception bitmaps are one ``(receivers, indices sent)`` matrix:
+    row ``i`` belongs to ``receivers[i]``, column ``j`` to the ``j``-th
+    index sent this round.
+    """
+
+    #: Cell members the round reached (everyone but the sender), in cell
+    #: join order.
+    receivers: List[Any]
+    #: bool, shape ``(len(receivers), len(indices))``; True = heard.
+    bitmaps: np.ndarray
     #: Airtime bytes actually transmitted this round (blocks + headers).
     bytes_sent: int
     #: Wall (virtual) duration of the round.
     duration: float
+
+    @property
+    def received(self) -> Dict[Any, np.ndarray]:
+        """Map receiver id -> its bitmap (a row view of :attr:`bitmaps`)."""
+        return dict(zip(self.receivers, self.bitmaps))
 
 
 class WifiCell:
@@ -256,8 +276,15 @@ class WifiCell:
         Models one *phase* of Section III-C: the sender pushes every listed
         block back-to-back; each receiver's loss process independently
         decides which blocks it hears.  Returns a
-        :class:`BroadcastRoundResult` whose bitmaps are aligned with
-        ``indices``.
+        :class:`BroadcastRoundResult` whose bitmap columns are aligned
+        with ``indices``.
+
+        When every member shares one plain Bernoulli loss (the default
+        config) the whole cell is sampled as a matrix, in row blocks of
+        :data:`DRAW_BLOCK_FRAGS` uniforms — the same RNG stream a
+        member-by-member loop would consume.  Heterogeneous or stateful
+        (Gilbert-Elliott) loss models keep one ``sample()`` call per
+        receiver.
 
         ``last_block_size`` is the wire size of the final block of the
         overall transfer (the paper: "the last block may be less than
@@ -267,8 +294,10 @@ class WifiCell:
         indices = np.asarray(indices)
         n = int(indices.size)
         if n == 0:
+            receivers = [m for m in self._members if m != sender]
             return BroadcastRoundResult(
-                received={m: np.zeros(0, dtype=bool) for m in self._members if m != sender},
+                receivers=receivers,
+                bitmaps=np.zeros((len(receivers), 0), dtype=bool),
                 bytes_sent=0,
                 duration=0.0,
             )
@@ -294,34 +323,35 @@ class WifiCell:
         # drops the whole datagram (the paper's case for 1 KB blocks):
         # sample the loss process at *fragment* granularity and AND the
         # fragments of each datagram.  Single-fragment datagrams (the
-        # default 1 KB blocks) reduce to one sample per datagram.
+        # default 1 KB blocks) are one sample per datagram, no reduction.
         frags = np.maximum(1, np.ceil(sizes / MTU).astype(int))
         total_frags = int(frags.sum())
+        fragmented = total_frags != n
         starts = np.cumsum(frags) - frags
-        received: Dict[Any, np.ndarray] = {}
         # No yields below this point, so membership cannot change under
         # us: iterate the live dict instead of copying it every round.
+        receivers = [m for m in self._members if m != sender]
+        bitmaps = np.empty((len(receivers), n), dtype=bool)
         uniform_p = self._uniform_loss_p()
-        if uniform_p is not None and self.member_count > (1 if sender in self._members else 0):
-            # Batched draw: one 2-D sample for all receivers.  PCG64
-            # fills a (receivers, frags) array in row-major order, i.e.
-            # exactly the doubles the per-member loop would have drawn
-            # member by member — bit-identical bitmaps, one numpy call.
-            receivers = [m for m in self._members if m != sender]
-            frag_ok = self._rng.random((len(receivers), total_frags)) >= uniform_p
-            bitmaps = np.logical_and.reduceat(frag_ok, starts, axis=1)
-            for row, member_id in enumerate(receivers):
-                received[member_id] = bitmaps[row]
+        if uniform_p is not None:
+            step = max(1, DRAW_BLOCK_FRAGS // total_frags)
+            uniforms = np.empty((min(step, len(receivers)), total_frags))
+            for row in range(0, len(receivers), step):
+                block = uniforms[:len(receivers) - row]
+                self._rng.random(out=block)
+                out = bitmaps[row:row + step]
+                if fragmented:
+                    np.logical_and.reduceat(block >= uniform_p, starts, axis=1, out=out)
+                else:
+                    np.greater_equal(block, uniform_p, out=out)
         else:
-            # Heterogeneous (or stateful, e.g. Gilbert-Elliott) loss
-            # models need their per-member sample() calls.
-            for member_id in self._members:
-                if member_id == sender:
-                    continue
+            for row, member_id in enumerate(receivers):
                 frag_ok = self._loss[member_id].sample(total_frags, self._rng)
-                received[member_id] = np.logical_and.reduceat(frag_ok, starts)
+                bitmaps[row] = (np.logical_and.reduceat(frag_ok, starts)
+                                if fragmented else frag_ok)
         return BroadcastRoundResult(
-            received=received,
+            receivers=receivers,
+            bitmaps=bitmaps,
             bytes_sent=int(total_bytes),
             duration=self.sim.now - start,
         )

@@ -808,8 +808,8 @@ def _broadcast_case(n_members: int, n_rounds: int, uniform: bool) -> Dict[str, f
 
 @_register("fleet", "broadcast-round/batched")
 def _broadcast_batched(quick: bool) -> CaseFn:
-    """UDP broadcast over a fleet-sized cell, uniform loss: one 2-D
-    numpy draw covers every receiver."""
+    """UDP broadcast over a fleet-sized cell, uniform loss: the cell is
+    drawn as a matrix, one numpy call per row block."""
     n_members, n_rounds = (500, 3) if quick else (2_000, 8)
 
     def run() -> Dict[str, float]:

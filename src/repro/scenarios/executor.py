@@ -14,7 +14,7 @@ same spec reuses live workers.  The start method is forkserver-aware:
 else ``forkserver``, else ``spawn``; override with ``REPRO_MP_START``.
 
 **Ordered streaming.**  Cases run through ``imap`` (order-preserving,
-chunked by a pool-size heuristic), and every finished row is appended
+one case per task), and every finished row is appended
 to the artifact *immediately* — the writer reproduces the exact bytes
 of :func:`~repro.results.io.dumps_artifact`, so a streamed artifact
 is indistinguishable from a buffered one, but a long sweep shows
@@ -36,7 +36,6 @@ from __future__ import annotations
 import atexit
 import hashlib
 import json
-import math
 import multiprocessing
 import os
 import re
@@ -282,12 +281,6 @@ def shutdown_pool() -> None:
 
 
 atexit.register(shutdown_pool)
-
-
-def _chunksize(n_tasks: int, n_procs: int) -> int:
-    """imap chunking: ~4 chunks per worker balances dispatch overhead
-    against tail latency from uneven case costs."""
-    return max(1, math.ceil(n_tasks / (n_procs * 4)))
 
 
 # -- resume cache -------------------------------------------------------------
@@ -569,9 +562,10 @@ def run_sweep(
             n_procs = min(jobs, len(remaining))
             pool = _warm_pool(n_procs, spec, digest, verify)
             pids = _pool_pids(pool)
-            results = pool.imap(
-                _case_worker, remaining,
-                chunksize=_chunksize(len(remaining), n_procs))
+            # One case per task: with a larger chunksize ``imap`` hands
+            # back a plain generator, which has no ``next(timeout)`` for
+            # the watchdog below to poll.
+            results = pool.imap(_case_worker, remaining)
             done = 0
             try:
                 while done < len(remaining):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.apps import vision
 from repro.apps.vision import (
     FrameSpec,
     box_sum,
@@ -109,3 +110,54 @@ def test_render_never_out_of_bounds(seed, n):
     for cy, cx in centers:
         assert 0 <= cy < spec.height
         assert 0 <= cx < spec.width
+
+
+# -- fast paths vs the rendered reference --------------------------------------
+def _seeded_specs(count):
+    """``count`` FrameSpecs over several frame sizes, every fourth one empty."""
+    rng = np.random.default_rng(20260928)
+    sizes = [(160, 120), (80, 60), (64, 48)]
+    for i in range(count):
+        width, height = sizes[i % len(sizes)]
+        yield FrameSpec(
+            seed=int(rng.integers(0, 2**31)), width=width, height=height,
+            n_targets=0 if i % 4 == 0 else int(rng.integers(1, 5)),
+        )
+
+
+def test_color_fast_paths_equal_rendered_reference():
+    """channel_maxima / brightest_blob read the gray frame only; the RGB
+    render stays as the reference they must equal bit for bit."""
+    vision.clear_vision_caches()
+    for spec in _seeded_specs(300):
+        for hue in ("red", "yellow", "green"):
+            img = render_color(spec, hue)
+            assert vision.channel_maxima(spec, hue) == (
+                float(img[..., 0].max()), float(img[..., 1].max()))
+            flat = vision.flatten_channels(img)
+            assert np.array_equal(flat, img.max(axis=-1))
+            blobs = detect_blobs(flat)
+            expected = None
+            if blobs:
+                cy, cx = blobs[0]
+                patch = flat[max(0, cy - 6):cy + 6, max(0, cx - 6):cx + 6]
+                expected = (cy, cx, circularity(patch))
+            assert vision.brightest_blob(spec, hue) == expected
+    vision.clear_vision_caches()
+
+
+@pytest.mark.parametrize("fn", [vision.channel_maxima, vision.brightest_blob])
+def test_color_fast_paths_reject_unknown_hue(fn):
+    with pytest.raises(KeyError):
+        fn(FrameSpec(seed=1), "blue")
+
+
+@pytest.mark.parametrize("shape,win,stride", [
+    ((120, 160), 11, 2), ((17, 23), 5, 1), ((17, 23), 5, 3), ((12, 9), 4, 2),
+    ((6, 30), 6, 2), ((5, 30), 6, 2),  # window as tall as / taller than the image
+])
+def test_sliding_box_sums_equal_box_sum_gather(shape, win, stride):
+    ii = integral_image(np.random.default_rng(3).random(shape))
+    sums, ys, xs = sliding_box_sums(ii, win, stride)
+    y0, x0 = ys[:, None], xs[None, :]
+    assert np.array_equal(sums, box_sum(ii, y0, x0, y0 + win, x0 + win))

@@ -117,8 +117,11 @@ def test_topological_order():
 def test_node_graph_collapse():
     g = diamond()
     ng = g.node_graph({"S": "n0", "A": "n1", "B": "n1", "K": "n2"})
-    assert set(ng.nodes) == {"n0", "n1", "n2"}
-    assert set(ng.edges) == {("n0", "n1"), ("n1", "n2")}
+    assert ng.nodes == ["n0", "n1", "n2"]
+    assert ng.edges == [("n0", "n1"), ("n1", "n2")]
+    assert ng.predecessors("n1") == ["n0"] and ng.successors("n1") == ["n2"]
+    assert ng.in_degree("n0") == 0 and ng.in_degree("n2") == 1
+    assert "n1" in ng and "n9" not in ng
 
 
 def test_node_graph_cycle_rejected():
@@ -144,3 +147,68 @@ def test_contains_and_names():
     assert "A" in g
     assert "missing" not in g
     assert g.names() == ["S", "A", "B", "K"]
+
+
+# -- orders are part of the contract ---------------------------------------------
+# Placements, token waves and heartbeat probes iterate these lists, so their
+# order decides simulated results.  The values are what the third-party
+# DiGraph this module used to wrap produced for the same graphs:
+# Kahn's algorithm generation by generation, everything else in insertion
+# order.
+def test_diamond_orders_are_pinned():
+    g = diamond()
+    assert g.topological_order() == ["S", "A", "B", "K"]
+    assert g.edges() == [("S", "A"), ("S", "B"), ("A", "K"), ("B", "K")]
+    ng = g.node_graph({"S": "n0", "A": "n1", "B": "n2", "K": "n3"})
+    assert ng.edges == [("n0", "n1"), ("n0", "n2"), ("n1", "n3"), ("n2", "n3")]
+
+
+def test_topological_order_is_by_generation_not_depth_first():
+    """A long arm and a short arm: the short arm's tail waits for its
+    generation instead of being emitted as soon as it is free."""
+    g = QueryGraph()
+    for name in ("S", "A1", "B", "A2", "K"):
+        g.add_operator(MapOperator(name, lambda p: p))
+    g.chain("S", "A1", "A2", "K").chain("S", "B", "K")
+    assert g.topological_order() == ["S", "A1", "B", "A2", "K"]
+
+
+def test_topological_order_rejects_a_cycle():
+    g = QueryGraph()
+    for name in ("A", "B"):
+        g.add_operator(MapOperator(name, lambda p: p))
+    g.connect("A", "B").connect("B", "A")
+    with pytest.raises(GraphError, match="cycle"):
+        g.topological_order()
+
+
+PINNED_APP_ORDERS = {
+    "bcp": (
+        ["S0", "S1", "N", "H", "A", "L", "D", "C0", "C1", "C2", "C3", "B",
+         "J", "P", "K"],
+        ["p0", "p6", "p1", "p2", "p3", "p4", "p5", "p7"],
+        [("p0", "p6"), ("p6", "p7"), ("p1", "p2"), ("p1", "p3"), ("p1", "p4"),
+         ("p1", "p5"), ("p2", "p6"), ("p3", "p6"), ("p4", "p6"), ("p5", "p6")],
+    ),
+    "signalguru": (
+        ["S0", "S1", "C0", "C1", "C2", "A0", "A1", "A2", "M0", "M1", "M2",
+         "V", "G", "P", "K"],
+        ["p0", "p1", "p2", "p3", "p4", "p5", "p6", "p7"],
+        [("p0", "p6"), ("p1", "p2"), ("p1", "p3"), ("p1", "p4"), ("p2", "p5"),
+         ("p3", "p5"), ("p4", "p5"), ("p5", "p6"), ("p6", "p7")],
+    ),
+}
+
+
+@pytest.mark.parametrize("app_key", sorted(PINNED_APP_ORDERS))
+def test_app_graph_orders_are_pinned(app_key):
+    from repro.apps.registry import get_app
+
+    topo, nodes, edges = PINNED_APP_ORDERS[app_key]
+    app = get_app(app_key).create()
+    graph = app.build_graph()
+    phones = [f"p{i}" for i in range(app.compute_phones_needed())]
+    ng = graph.node_graph(app.build_placement(phones).chain_assignment(0))
+    assert graph.topological_order() == topo
+    assert ng.nodes == nodes
+    assert ng.edges == edges

@@ -1,8 +1,8 @@
 """Fleet-scale acceptance gates.
 
 These run the ``fleet`` perf-suite case factories directly (not via the
-committed baselines, so they cannot drift) and enforce the PR's two
-headline claims:
+committed baselines, so they cannot drift) and enforce the fleet store's
+two headline claims:
 
 * the vectorized battery sweep is >= 10x the per-object loop in
   events/s at n_phones = 10k, and
@@ -13,6 +13,12 @@ headline claims:
 Thresholds are deliberately loose versus measured numbers (~41x speed,
 ~1.3 KB/phone at 16k) so only a real regression — a fallback to the
 scalar path, an accidental per-phone object resurrection — trips them.
+
+The batched-broadcast claim is held here by nothing that reads a clock:
+``tests/checkpoint/test_broadcast_matrix.py`` pins it as work counts (RNG
+calls per row block, no ``reduceat`` on single-fragment rounds, peak
+traced memory).  Its wall-clock form lives in the perf tier,
+``tests/perf/wallclock_gates.py``, which tier-1 does not collect.
 """
 
 import pytest
@@ -36,14 +42,6 @@ def test_fleet_battery_sweep_is_10x_object_loop():
         f"fleet sweep only {ratio:.1f}x the object loop "
         f"({fleet['events_per_s']:.3g} vs {obj['events_per_s']:.3g} ev/s)"
     )
-
-
-def test_batched_broadcast_beats_member_loop():
-    batched = _case("broadcast-round/batched", quick=True)
-    loop = _case("broadcast-round/member-loop", quick=True)
-    # Same receivers, same loss model values — only the draw strategy
-    # differs.  2x is conservative; measured is larger.
-    assert batched["events_per_s"] >= 2.0 * loop["events_per_s"]
 
 
 @pytest.fixture(scope="module")

@@ -167,6 +167,21 @@ def test_serial_parallel_resumed_sweeps_are_byte_identical(tmp_path):
     assert resumed == serial
 
 
+def test_fourteen_case_parallel_sweep_matches_serial():
+    """The paper-fig8 shape (2 apps x 7 schemes) at ``jobs=2``: 14 cases
+    over 2 x 4 is the first size a chunking heuristic rounds up to 2,
+    where ``imap`` returned a generator the watchdog could not poll."""
+    spec = small_spec(
+        duration_s=90.0, warmup_s=30.0, checkpoint_period_s=30.0,
+        matrix=MatrixSpec(
+            apps=("bcp", "signalguru"),
+            schemes=("base", "rep-2", "local", "dist-1", "dist-2", "dist-3", "ms-8"),
+            seeds=(3,)))
+    assert len(list(spec.matrix.cases())) == 14
+    assert dumps_artifact(run_sweep(spec, jobs=2)) == dumps_artifact(
+        run_sweep(spec, jobs=1))
+
+
 # -- warm pool ----------------------------------------------------------------
 def test_warm_pool_is_reused_for_same_spec_and_torn_down_on_change():
     spec = small_spec()
@@ -224,7 +239,7 @@ def test_failed_parallel_sweep_invalidates_the_pool(monkeypatch):
     spec = small_spec()
 
     class ExplodingPool:
-        def imap(self, fn, payloads, chunksize):
+        def imap(self, fn, payloads):
             raise RuntimeError("worker died")
 
     shutdowns = []
