@@ -10,6 +10,10 @@ One :class:`NodeRuntime` runs on each phone that hosts operators.  It owns:
   node D" (Section III-B, Fig. 5).
 * **CPU** — a :class:`~repro.sim.resources.Resource` with one slot per
   core; operator costs are reference-seconds scaled by the phone's speed.
+  A free core is granted inside ``request()``, so an uncontended
+  operator call costs one timeout event.  The CPU is a resource rather
+  than a precomputed busy-until time because the baselines' synchronous
+  checkpoint saves hold it across network transfers of unknown length.
 * **Hosted operators** — possibly several ("a group of operators on a
   node can be treated as a single super operator"); intra-node edges pass
   tuples directly, cross-node edges go through the region router.
@@ -349,6 +353,6 @@ class NodeRuntime:
                     self.region.scheme.on_emit(self, op_name, d_op, out, remote=True)
                     self.region.route_tuple(self, d_op, out, chain=d_chain)
 
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
+    def __repr__(self) -> str:
         state = "alive" if self.alive else "dead"
-        return f"<NodeRuntime {self.id} chain={self.chain} ops={list(self.ops)} {state}>"
+        return f"<NodeRuntime {self.id} op_chain={self.op_chain} {state}>"

@@ -385,7 +385,10 @@ class Region:
 
     # -- routing ------------------------------------------------------------
     def route_tuple(self, from_node: NodeRuntime, d_op: str, tup: StreamTuple, chain: int = 0) -> None:
-        """Send a tuple to the node hosting ``d_op`` (fire-and-forget)."""
+        """Send a tuple to the node hosting ``d_op`` (fire-and-forget).
+
+        The send needs no process: see :meth:`_send`.
+        """
         target = self.placement.node_for(d_op, chain)
         msg = Message(
             src=from_node.id,
@@ -394,9 +397,7 @@ class Region:
             kind="tuple",
             payload=("tuple", d_op, tup),
         )
-        self.sim.process(
-            self._send_with_fallback(msg), name=f"{self.name}.tx.{from_node.id}"
-        ).defuse()
+        self._send(msg)
 
     def send_source_copy(self, from_node: NodeRuntime, op_name: str, target: str, tup: StreamTuple) -> None:
         """Forward an ingested source tuple to another chain's source node."""
@@ -408,14 +409,13 @@ class Region:
             payload=("source_copy", op_name, tup),
         )
         self.scheme.on_source_copy(from_node, op_name, tup)
-        self.sim.process(
-            self._send_with_fallback(msg), name=f"{self.name}.cp.{from_node.id}"
-        ).defuse()
+        self._send(msg)
 
     def send_control(self, src: str, dst: str, payload: Tuple, size: int = 128) -> None:
-        """Send a small in-band control message over WiFi (fire-and-forget)."""
+        """Send a small in-band control message over WiFi (fire-and-forget,
+        without a process, like :meth:`route_tuple`)."""
         msg = Message(src=src, dst=dst, size=size, kind="control", payload=payload)
-        self.sim.process(self._send_with_fallback(msg), name=f"{self.name}.ctl").defuse()
+        self._send(msg)
 
     def _drain_radio(self, phone_id: str, n_bytes: float, cellular: bool) -> None:
         phone = self.phones.get(phone_id)
@@ -425,15 +425,21 @@ class Region:
             else:
                 phone.battery.drain_wifi(n_bytes)
 
-    def _send_with_fallback(self, msg: Message):
-        """WiFi first; urgent-mode cellular on broken links; report failures."""
-        try:
-            yield from self.wifi.tcp_unicast(msg)
-            self._drain_radio(msg.src, msg.size, cellular=False)
-            self.urgent_links.discard((msg.src, msg.dst))
-            return True
-        except Unreachable:
-            pass
+    def _send(self, msg: Message) -> None:
+        """WiFi first, by channel callbacks; a broken link (destination
+        absent, or gone by the end of the airtime) starts the
+        :meth:`_fallback` process."""
+        self.wifi.tcp_unicast(msg, on_sent=self._wifi_sent, on_lost=self._wifi_lost)
+
+    def _wifi_sent(self, msg: Message) -> None:
+        self._drain_radio(msg.src, msg.size, cellular=False)
+        self.urgent_links.discard((msg.src, msg.dst))
+
+    def _wifi_lost(self, msg: Message) -> None:
+        self.sim.process(self._fallback(msg), name=f"{self.name}.fallback").defuse()
+
+    def _fallback(self, msg: Message):
+        """Urgent-mode cellular for a broken WiFi link; report failures."""
         # Urgent mode (Section III-E): transmit over cellular and tell the
         # controller the WiFi link is broken.
         phone = self.phones.get(msg.dst)

@@ -15,7 +15,8 @@ the paper:
   reception bitmaps differ per receiver exactly as in Fig. 6.
 * **TCP-like reliable unicast** is modelled as goodput derated by the
   channel's expected loss (retransmissions occupy airtime), plus a small
-  per-message latency.
+  per-message latency.  A process runs it with ``yield from``; per-tuple
+  traffic passes callbacks instead and needs no process at all.
 
 Members register a delivery callback; a phone that leaves the cell simply
 stops being reachable, which upper layers observe as broken links.
@@ -361,28 +362,80 @@ class WifiCell:
         """Effective bits/s of a reliable transfer (loss-derated)."""
         return self.config.bandwidth_bps * (1.0 - self.config.mean_loss)
 
-    def tcp_unicast(self, msg: Message):
-        """Process: reliably deliver ``msg`` to ``msg.dst``.
+    def tcp_unicast(
+        self,
+        msg: Message,
+        on_sent: Optional[DeliverFn] = None,
+        on_lost: Optional[DeliverFn] = None,
+    ):
+        """Reliably deliver ``msg`` to ``msg.dst``.
 
         Occupies the channel for the loss-derated transfer time (the
-        retransmissions are airtime too).  Raises :class:`Unreachable` if
-        the destination is not (or no longer) a member.
+        retransmissions are airtime too), then delivers after
+        ``latency_s``.  Two call forms share that arithmetic:
+
+        * ``yield from cell.tcp_unicast(msg)`` — returns a generator for
+          a process to run.  It returns True once delivery is scheduled
+          and raises :class:`Unreachable` if the destination is not (or
+          no longer) a member.
+        * ``cell.tcp_unicast(msg, on_sent, on_lost)`` — fire-and-forget,
+          no process: one channel request and one callback at the end of
+          the airtime, which calls ``on_sent(msg)``, or ``on_lost(msg)``
+          if the destination left mid-transfer.  A destination that is
+          not a member gets ``on_lost(msg)`` right away.
         """
+        if on_sent is None and on_lost is None:
+            return self._tcp_transfer(msg)
+        if on_sent is None or on_lost is None:
+            raise TypeError("the callback form needs both on_sent and on_lost")
+        if msg.dst not in self._members:
+            on_lost(msg)
+            return None
+        size, air_time = self._tcp_airtime(msg)
+        req = self.channel.request()
+        args = (req, msg, size, on_sent, on_lost)
+        if req.callbacks is None:  # granted on the spot
+            self.sim.call_in(air_time, self._tcp_sent, *args)
+        else:
+            req.callbacks.append(
+                lambda _req: self.sim.call_in(air_time, self._tcp_sent, *args))
+        return None
+
+    def _tcp_transfer(self, msg: Message):
+        """The generator form of :meth:`tcp_unicast`."""
         if msg.dst not in self._members:
             raise Unreachable(f"{msg.dst} is not in cell {self.name}")
-        size = msg.size + self.config.header_bytes
-        air_time = transmission_time(size, self.reliable_goodput())
+        size, air_time = self._tcp_airtime(msg)
         req = self.channel.request()
         yield req
         try:
             yield self.sim.timeout(air_time)
         finally:
             self.channel.release(req)
+        if not self._tcp_deliver(msg, size):
+            raise Unreachable(f"{msg.dst} left cell {self.name} during transfer")
+        return True
+
+    def _tcp_sent(self, req, msg: Message, size: int, on_sent, on_lost) -> None:
+        """End of a callback-form transfer's airtime."""
+        self.channel.release(req)
+        if self._tcp_deliver(msg, size):
+            on_sent(msg)
+        else:
+            on_lost(msg)
+
+    def _tcp_airtime(self, msg: Message):
+        """(wire size, airtime) of a reliable transfer of ``msg``."""
+        size = msg.size + self.config.header_bytes
+        return size, transmission_time(size, self.reliable_goodput())
+
+    def _tcp_deliver(self, msg: Message, size: int) -> bool:
+        """Charge a finished transfer's bytes and schedule its delivery;
+        False if the destination left mid-transfer."""
         self._count(size / (1.0 - self.config.mean_loss))
         deliver = self._members.get(msg.dst)
         if deliver is None:
-            # Destination left mid-transfer.
-            raise Unreachable(f"{msg.dst} left cell {self.name} during transfer")
+            return False
         msg.created_at = self.sim.now
         self.sim.call_in(self.config.latency_s, deliver, msg)
         return True

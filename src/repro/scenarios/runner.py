@@ -18,6 +18,7 @@ The sweep/serialization entry points that used to live here
 
 from __future__ import annotations
 
+import gc
 import warnings
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
@@ -217,7 +218,7 @@ def run_case(
     if harness is not None:
         harness.finish()
     report = system.metrics(warmup_s=spec.warmup_s)
-    return CaseResult(
+    result = CaseResult(
         scenario=spec.name,
         app=app_key,
         scheme=scheme,
@@ -227,6 +228,15 @@ def run_case(
         timeline=monitor.timeline() if monitor is not None else None,
         violations=tuple(harness.violations) if harness is not None else (),
     )
+    # A finished case is one large reference cycle (region <-> scheme,
+    # node <-> region, the deliver closures in the cell member tables,
+    # suspended process generators): 8k-28k objects that only the cycle
+    # collector frees.  It runs after a set number of container
+    # allocations, which a run makes few of, so dead cases would pile up
+    # between collections and set the peak RSS.  Collect each one here.
+    del system, director, monitor, harness
+    gc.collect()
+    return result
 
 
 def case_to_type(result: CaseResult) -> ArtifactCase:

@@ -112,7 +112,12 @@ class Process(Event):
 
     # -- engine ----------------------------------------------------------
     def _resume(self, event: Event) -> None:
-        """Advance the generator with ``event``'s outcome."""
+        """Advance the generator with ``event``'s outcome.
+
+        A yielded event that is already processed (a resource slot
+        granted on the spot) is fed straight back into the generator in
+        the same step, without a trip through the queue.
+        """
         if not self.is_alive:
             # Late interrupt or stale callback after termination: drop it.
             return
@@ -132,42 +137,55 @@ class Process(Event):
                     # (failure storms, churn) don't drag dead timers.
                     target.cancel()
         self._target = None
-        self.sim._active_process = self
-        try:
-            if event._ok:
-                next_event = self._generator.send(event._value)
-            else:
-                # The event failed: throw its exception into the process.
-                event.defuse()
-                next_event = self._generator.throw(event._value)
-        except StopIteration as exc:
-            self.sim._active_process = None
-            self.succeed(exc.value)
-            return
-        except BaseException as exc:
-            self.sim._active_process = None
-            self.fail(exc)
-            return
-        self.sim._active_process = None
+        sim = self.sim
+        generator = self._generator
+        while True:
+            sim._active_process = self
+            try:
+                if event._ok:
+                    next_event = generator.send(event._value)
+                else:
+                    # The event failed: throw its exception into the process.
+                    event.defuse()
+                    next_event = generator.throw(event._value)
+            except StopIteration as exc:
+                sim._active_process = None
+                self.succeed(exc.value)
+                return
+            except BaseException as exc:
+                sim._active_process = None
+                self.fail(exc)
+                return
+            sim._active_process = None
 
-        if not isinstance(next_event, Event):
-            error = RuntimeError(
-                f"process {self.name!r} yielded {next_event!r}, "
-                "which is not an Event"
-            )
-            self._generator.close()
-            self.fail(error)
-            return
-        if next_event.sim is not self.sim:
-            error = RuntimeError(
-                f"process {self.name!r} yielded an event from another simulator"
-            )
-            self._generator.close()
-            self.fail(error)
-            return
+            if not isinstance(next_event, Event):
+                error = RuntimeError(
+                    f"process {self.name!r} yielded {next_event!r}, "
+                    "which is not an Event"
+                )
+                generator.close()
+                self.fail(error)
+                return
+            if next_event.sim is not sim:
+                error = RuntimeError(
+                    f"process {self.name!r} yielded an event from another simulator"
+                )
+                generator.close()
+                self.fail(error)
+                return
 
-        self._target = next_event
-        next_event.add_callback(self._resume)
+            callbacks = next_event.callbacks
+            if callbacks is not None:
+                self._target = next_event
+                callbacks.append(self._resume)
+                return
+            if isinstance(next_event, Timeout):
+                # Fired or cancelled: add_callback resumes us now or
+                # revives the timeout at its deadline.
+                self._target = next_event
+                next_event.add_callback(self._resume)
+                return
+            event = next_event
 
     def __repr__(self) -> str:
         state = "alive" if self.is_alive else "done"

@@ -7,8 +7,10 @@ Two primitives cover every need in this codebase:
 * :class:`Store` — an unbounded (or bounded) FIFO of Python objects with
   blocking ``get``.  Used as per-node tuple mailboxes and control queues.
 
-Both hand out plain :class:`~repro.sim.events.Event` objects so processes
-simply ``yield`` them.
+Both hand out :class:`~repro.sim.events.Event` objects so processes
+simply ``yield`` them.  A request for a free slot is born processed: it
+never enters the event queue, and a process that yields it continues in
+the same step.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 from collections import deque
 from typing import TYPE_CHECKING, Any, Callable, Deque, Optional
 
-from repro.sim.events import Event
+from repro.sim.events import PENDING, Event
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.core import Simulator
@@ -28,7 +30,12 @@ class Request(Event):
     __slots__ = ("resource",)
 
     def __init__(self, sim: "Simulator", resource: "Resource") -> None:
-        super().__init__(sim)
+        # Event.__init__ inlined: one request per operator call and send.
+        self.sim = sim
+        self.callbacks = []
+        self._value = PENDING
+        self._ok = None
+        self._defused = False
         self.resource = resource
 
     def __enter__(self) -> "Request":
@@ -40,6 +47,10 @@ class Request(Event):
 
 class Resource:
     """``capacity`` interchangeable slots with FIFO granting.
+
+    A free slot is granted inside :meth:`request` (the request comes back
+    already processed); a contended request waits in FIFO order and is
+    granted by an event that :meth:`release` schedules.
 
     Usage from a process::
 
@@ -70,11 +81,18 @@ class Resource:
         return len(self._waiting)
 
     def request(self) -> Request:
-        """Ask for a slot; the returned event fires when granted."""
+        """Ask for a slot; the returned event fires when granted.
+
+        When a slot is free the request is granted on the spot and
+        returned processed (``callbacks is None``), so no grant event is
+        scheduled.
+        """
         req = Request(self.sim, self)
         if len(self._users) < self.capacity:
             self._users.add(req)
-            req.succeed()
+            req._ok = True
+            req._value = None
+            req.callbacks = None
         else:
             self._waiting.append(req)
         return req
@@ -84,22 +102,20 @@ class Resource:
 
         Releasing a request that was never granted cancels it instead.
         """
-        if request in self._users:
-            self._users.remove(request)
-            self._grant_next()
+        users, waiting = self._users, self._waiting
+        if request in users:
+            users.remove(request)
+            while waiting and len(users) < self.capacity:
+                nxt = waiting.popleft()
+                if nxt.triggered:  # cancelled while waiting
+                    continue
+                users.add(nxt)
+                nxt.succeed()
         else:
             try:
-                self._waiting.remove(request)
+                waiting.remove(request)
             except ValueError:
                 pass  # already released / cancelled: idempotent
-
-    def _grant_next(self) -> None:
-        while self._waiting and len(self._users) < self.capacity:
-            nxt = self._waiting.popleft()
-            if nxt.triggered:  # cancelled while waiting
-                continue
-            self._users.add(nxt)
-            nxt.succeed()
 
 
 class Store:

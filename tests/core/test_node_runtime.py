@@ -227,3 +227,13 @@ def test_state_size_sums_hosted_operators():
     assert node.state_size() == 128
     snap = node.snapshot_state()
     assert set(snap) == {"A", "B"}
+
+
+def test_repr_shows_hosted_operators_and_their_chains():
+    s = build()
+    s.start()
+    region = s.regions[0]
+    j = region.nodes[region.placement.node_for("J", 0)]
+    assert repr(j) == f"<NodeRuntime {j.id} op_chain={{'J': 0}} alive>"
+    j.kill("test")
+    assert repr(j).endswith(" dead>")

@@ -100,6 +100,74 @@ def test_tcp_unicast_unreachable_raises():
     assert p.value == "raised"
 
 
+def _send_both_forms(leave_at=None):
+    """Send the same three messages with each tcp_unicast call form;
+    returns per form (delivery times, lost messages, byte counters)."""
+    outcomes = []
+    for form in ("generator", "callback"):
+        trace = Trace()
+        sim, cell = make_cell(loss=0.08, trace=trace)
+        delivered, lost = [], []
+        cell.join("A", lambda m: None)
+        cell.join("B", lambda m: delivered.append((m.payload, sim.now)))
+        cell.join("C", lambda m: delivered.append((m.payload, sim.now)))
+        msgs = [Message(src="A", dst=dst, size=size, kind="t", payload=i)
+                for i, (dst, size) in enumerate([("B", 5000), ("C", 300), ("B", 80)])]
+        for msg in msgs:
+            if form == "generator":
+                def proc(sim, msg=msg):
+                    try:
+                        yield from cell.tcp_unicast(msg)
+                    except Unreachable:
+                        lost.append((msg.payload, sim.now))
+                sim.process(proc(sim))
+            else:
+                cell.tcp_unicast(msg, on_sent=lambda m: None,
+                                 on_lost=lambda m: lost.append((m.payload, sim.now)))
+        if leave_at is not None:
+            sim.call_at(leave_at, cell.leave, "C")
+        sim.run()
+        outcomes.append((delivered, lost, trace.value("net.wifi.bytes"),
+                         trace.value("net.wifi.r0.bytes")))
+    return outcomes
+
+
+def test_tcp_unicast_callback_form_matches_generator_form():
+    generator, callback = _send_both_forms()
+    assert callback == generator
+    delivered, lost, _, _ = callback
+    assert [p for p, _ in delivered] == [0, 1, 2] and lost == []
+
+
+def test_tcp_unicast_callback_form_departure_mid_transfer():
+    # C leaves while the first (5000 B) transfer still holds the channel,
+    # so message 1 to C is lost at the end of its own airtime.
+    generator, callback = _send_both_forms(leave_at=0.01)
+    assert callback == generator
+    delivered, lost, _, _ = callback
+    assert [p for p, _ in delivered] == [0, 2]
+    assert [p for p, _ in lost] == [1]
+
+
+def test_tcp_unicast_callback_form_nonmember_is_lost_at_once():
+    sim, cell = make_cell()
+    cell.join("A", lambda m: None)
+    sim.run(until=2.5)
+    lost = []
+    cell.tcp_unicast(Message(src="A", dst="gone", size=1, kind="t"),
+                     on_sent=lambda m: None,
+                     on_lost=lambda m: lost.append(sim.now))
+    assert lost == [2.5]
+    assert cell.channel.count == 0
+
+
+def test_tcp_unicast_callback_form_needs_both_callbacks():
+    sim, cell = make_cell()
+    with pytest.raises(TypeError):
+        cell.tcp_unicast(Message(src="A", dst="B", size=1, kind="t"),
+                         on_sent=lambda m: None)
+
+
 def test_channel_serializes_transmissions():
     """Two concurrent sends cannot overlap on the half-duplex medium."""
     sim, cell = make_cell(bandwidth=Mbps(1))

@@ -24,9 +24,12 @@ GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden_hashes.json")
 
 #: Scenarios covered by the guard: the paper's headline sweep, a
 #: failure-heavy one (recovery, replay, and broadcast paths all firing),
-#: and the state-heavy EdgeML workload (multi-MB copy-on-write
-#: snapshots moving through checkpoint + restore).
-GUARDED = ("paper-fig8", "failure-cascade", "edgeml-baseline")
+#: the state-heavy EdgeML workload (multi-MB copy-on-write snapshots
+#: moving through checkpoint + restore), and the churn and handoff paths
+#: (departures mid-transfer, urgent-mode cellular), where a change in
+#: the order resources are granted would show first.
+GUARDED = ("paper-fig8", "failure-cascade", "edgeml-baseline",
+           "rush-hour-churn", "handoff-storm")
 
 
 def _artifact_sha256(name: str) -> str:

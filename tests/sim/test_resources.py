@@ -21,27 +21,31 @@ def test_resource_release_grants_waiter():
     res = Resource(sim, capacity=1)
     r1 = res.request()
     r2 = res.request()
+    assert r1.processed  # granted on the spot
     assert not r2.triggered
     res.release(r1)
-    assert r2.triggered
+    assert r2.triggered and not r2.processed  # granted by a queued event
+    sim.run()
+    assert r2.processed
+    assert res.count == 1 and res.queue_length == 0
 
 
 def test_resource_fifo_order():
     sim = Simulator()
     res = Resource(sim, capacity=1)
-    order = []
+    grants = []
 
     def user(sim, uid, hold):
         req = res.request()
         yield req
-        order.append(uid)
+        grants.append((uid, sim.now))
         yield sim.timeout(hold)
         res.release(req)
 
     for i in range(4):
         sim.process(user(sim, i, 1.0))
     sim.run()
-    assert order == [0, 1, 2, 3]
+    assert grants == [(0, 0.0), (1, 1.0), (2, 2.0), (3, 3.0)]
 
 
 def test_resource_release_waiting_request_cancels_it():
@@ -74,6 +78,81 @@ def test_resource_context_manager():
     p = sim.process(user(sim))
     sim.run()
     assert p.value == 0
+
+
+def test_free_slot_is_granted_without_an_event():
+    sim = Simulator()
+    res = Resource(sim, capacity=1)
+    queued = sim._queued()
+    req = res.request()
+    assert req.processed and req.ok and req.value is None
+    assert sim._queued() == queued
+    sim.run()
+    assert sim.events_processed == 0
+    assert res.count == 1
+
+
+def test_free_slot_grant_continues_in_the_same_step():
+    sim = Simulator()
+    res = Resource(sim, capacity=1)
+    steps = []
+
+    def user(sim):
+        req = res.request()
+        before = sim.events_processed
+        yield req
+        steps.append((sim.now, sim.events_processed - before))
+        yield sim.timeout(1.0)
+        res.release(req)
+
+    sim.process(user(sim))
+    sim.run()
+    assert steps == [(0.0, 0)]
+    assert sim.events_processed == 3  # init, timeout, process completion
+
+
+def test_interrupted_holder_of_a_spot_grant_releases_it():
+    sim = Simulator()
+    res = Resource(sim, capacity=1)
+    granted = []
+
+    def holder(sim):
+        req = res.request()
+        yield req
+        try:
+            yield sim.timeout(10.0)
+        finally:
+            res.release(req)
+
+    def waiter(sim):
+        req = res.request()
+        yield req
+        granted.append(sim.now)
+        res.release(req)
+
+    proc = sim.process(holder(sim))
+    proc.defuse()
+    sim.process(waiter(sim))
+    sim.call_in(1.0, proc.interrupt)
+    sim.run()
+    assert granted == [1.0]
+    assert res.count == 0
+
+
+def test_many_spot_grants_in_a_row_do_not_recurse():
+    sim = Simulator()
+    res = Resource(sim, capacity=1)
+
+    def user(sim):
+        for _ in range(10_000):
+            req = res.request()
+            yield req
+            res.release(req)
+        return "done"
+
+    proc = sim.process(user(sim))
+    sim.run()
+    assert proc.value == "done"
 
 
 def test_store_put_then_get():
