@@ -4,7 +4,7 @@ The byte-identity contract — every artifact identical across serial/
 parallel/distributed/resumed execution — has been broken twice by the
 same bug classes (str-hash-order voting in PR 2, a wall-clock epoch
 anchor in PR 8).  This package checks those classes *statically*:
-``python -m repro lint src/`` walks the ASTs with ~10 project-specific
+``python -m repro lint src/`` walks the ASTs with 9 project-specific
 rules and fails on any finding not in the committed baseline
 (``lint-baseline.json``, kept empty).
 
@@ -23,8 +23,6 @@ rule                  family           rationale
                                        host clock; intervals want ``perf_counter()``
 ``id-order``          determinism      sorting/comparing by ``id()`` orders by memory
                                        address, different every process
-``deprecated-members``  api-contract   ``WifiCell.members`` warns at runtime and
-                                       copies; ``member_ids()`` is the stable surface
 ``raw-loss-poke``     api-contract     writing ``_loss``/``_uniform_p``/
                                        ``_uniform_loss_p`` skips ``set_loss()``
                                        validation and loss-model bookkeeping

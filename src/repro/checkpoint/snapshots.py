@@ -33,18 +33,15 @@ equal collapse to one stored chunk even when they are distinct objects
 Chunks are held by weak reference, so pruned versions free their bytes
 as usual.
 
-**A/B measurement.**  ``REPRO_SNAPSHOT_MODE=eager`` (or
-:func:`configure`) restores the pre-copy-on-write semantics — eager
-copies, no sharing, no interning.  The committed
-``benchmarks/baselines/pre_pr/BENCH_checkpoint.json`` was recorded in
-that mode; keep it working so the before/after memory numbers stay
-re-measurable.
+**Historical record.**  The committed
+``benchmarks/baselines/pre_pr/BENCH_checkpoint.json`` holds the peak
+memory of the eager-copy semantics this module replaced; it is the
+number the copy-on-write saving is pinned against.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
 import weakref
 from typing import Any, Dict, Optional, Tuple
 
@@ -54,38 +51,9 @@ import numpy as np
 #: by :class:`ChunkStore`; smaller ones are cheaper to keep than to hash.
 MIN_CHUNK_BYTES = 4096
 
-_MODES = ("cow", "eager")
-_mode = os.environ.get("REPRO_SNAPSHOT_MODE", "cow")
-if _mode not in _MODES:  # pragma: no cover - env typo guard
-    raise ValueError(f"REPRO_SNAPSHOT_MODE must be one of {_MODES}, got {_mode!r}")
-
-
-def configure(mode: str) -> str:
-    """Set the snapshot mode (``"cow"`` or ``"eager"``); returns the old one.
-
-    Exists for A/B benchmarking and tests; production code never calls it.
-    """
-    global _mode
-    if mode not in _MODES:
-        raise ValueError(f"snapshot mode must be one of {_MODES}, got {mode!r}")
-    old, _mode = _mode, mode
-    return old
-
-
-def eager() -> bool:
-    """Whether eager-copy (pre-CoW) semantics are active."""
-    return _mode == "eager"
-
-
 # -- the CoW triple ----------------------------------------------------------
 def freeze_array(arr: np.ndarray) -> np.ndarray:
-    """Mark ``arr`` read-only in place and return it (O(1), no copy).
-
-    In eager mode this returns a writable copy instead — the historical
-    semantics where the snapshot and the operator never share a buffer.
-    """
-    if eager():
-        return arr.copy()
+    """Mark ``arr`` read-only in place and return it (O(1), no copy)."""
     if arr.flags.writeable:
         arr.flags.writeable = False
     return arr
@@ -122,22 +90,16 @@ def adopt_array(value: Any, dtype: Optional[Any] = None) -> np.ndarray:
 def snap_attr(obj: Any, name: str) -> np.ndarray:
     """Snapshot one array attribute of ``obj`` under the CoW protocol.
 
-    Freezes the attribute in place, re-binds it (so eager mode's copy
-    does not disturb the operator), and returns the shareable array.
+    Freezes the attribute in place and returns the shareable array.
     """
-    arr = getattr(obj, name)
-    if eager():
-        return arr.copy()
-    arr = freeze_array(arr)
-    setattr(obj, name, arr)
-    return arr
+    return freeze_array(getattr(obj, name))
 
 
 # -- whole-state freezing -----------------------------------------------------
 def freeze_state(obj: Any) -> Any:
     """Recursively freeze a state object into its shareable snapshot form.
 
-    ndarray leaves are frozen in place (eager mode: copied); containers
+    ndarray leaves are frozen in place; containers
     are rebuilt fresh — so the operator mutating its own dicts/lists
     afterwards never reaches into the snapshot — with their types
     preserved (a tuple restores as a tuple, a list as a list); scalars

@@ -14,7 +14,7 @@ from collections import defaultdict
 from types import MappingProxyType
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
-from repro.checkpoint.snapshots import ChunkStore, eager
+from repro.checkpoint.snapshots import ChunkStore
 from repro.core.tuples import StreamTuple
 
 NodeKey = frozenset
@@ -49,8 +49,7 @@ class CheckpointStore:
     def put(self, version: int, node_id: str, op_key: NodeKey, snapshot: Any, size: int) -> bool:
         """Record one node's saved state; returns True if ``version`` is
         now complete."""
-        if not eager():
-            snapshot = self.chunks.intern_state(snapshot)
+        snapshot = self.chunks.intern_state(snapshot)
         self._states[version][op_key] = (snapshot, size)
         self._saved[version].add(node_id)
         needed = self._needed.get(version)

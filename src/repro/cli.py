@@ -159,10 +159,6 @@ def _add_sweep_exec_flags(p: argparse.ArgumentParser) -> None:
                    help="scale every region's population to N phones "
                         "(the computing count is kept; the idle spare "
                         "pool absorbs the rest)")
-    p.add_argument("--scheduler", default=None,
-                   choices=["heap", "calendar"],
-                   help="simulator event-queue backend (default: the "
-                        "REPRO_SIM_SCHEDULER env var, else heap)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -512,11 +508,9 @@ def _load_spec_arg(name: str):
 
 def _prepare_sweep_spec(spec, args):
     """Apply the shared sweep-shaping flags (--quick/--n-phones/
-    --scheduler/--telemetry) and derive the timelines directory.
+    --telemetry) and derive the timelines directory.
     Returns ``(spec, timelines_dir)``; ``(None, None)`` on a usage
     error (already printed)."""
-    import os
-
     if args.quick:
         spec = spec.quick()
     if getattr(args, "n_phones", None) is not None:
@@ -525,10 +519,6 @@ def _prepare_sweep_spec(spec, args):
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return None, None
-    if getattr(args, "scheduler", None) is not None:
-        # Workers inherit the environment, so the knob reaches forked
-        # sweep processes too.
-        os.environ["REPRO_SIM_SCHEDULER"] = args.scheduler
     if getattr(args, "telemetry", False):
         import dataclasses
 

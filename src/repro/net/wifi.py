@@ -24,7 +24,6 @@ stops being reachable, which upper layers observe as broken links.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
 
@@ -142,24 +141,6 @@ class WifiCell:
             self._bytes_cell = None
 
     # -- membership -------------------------------------------------------
-    @property
-    def members(self) -> List[Any]:
-        """Ids of phones currently in the cell (a fresh list).
-
-        .. deprecated::
-            Allocates a copy per access — at fleet scale that is a
-            multi-thousand-element list per call.  Use
-            :meth:`iter_members` / :meth:`member_count` instead; every
-            in-tree caller has been migrated.
-        """
-        warnings.warn(
-            "WifiCell.members copies the member list on every access; "
-            "use iter_members()/member_count instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return list(self._members)
-
     def iter_members(self):
         """Iterate member ids without copying.
 

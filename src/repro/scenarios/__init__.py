@@ -7,8 +7,8 @@
   a built system from a spec's script.
 * :mod:`repro.scenarios.registry` / :mod:`repro.scenarios.library` — the
   name -> spec registry and the built-in scenarios.
-* :mod:`repro.scenarios.runner` — single-case execution and canonical
-  JSON serialization.
+* :mod:`repro.scenarios.runner` — single-case execution, reduced to
+  artifact rows.
 * :mod:`repro.scenarios.executor` — the sweep executor: warm worker
   pool, case-level resume cache, streaming artifacts.
 """
@@ -28,7 +28,6 @@ from repro.scenarios.runner import (
     build_system,
     case_to_dict,
     case_to_type,
-    dumps_result,
     register_scheme,
     run_case,
     unregister_scheme,
@@ -55,7 +54,6 @@ __all__ = [
     "build_system",
     "case_to_dict",
     "case_to_type",
-    "dumps_result",
     "get",
     "names",
     "register",

@@ -10,16 +10,13 @@ deterministic in (spec, app, scheme, seed) — which is what lets
 :mod:`repro.scenarios.executor` fan them out over a warm
 ``multiprocessing`` pool, resume partial sweeps from a case cache, and
 stream artifacts, all while staying bit-identical to a serial run.
-
-The sweep/serialization entry points that used to live here
-(``run_sweep``, ``dumps_result``) are deprecated shims now; use
-:func:`repro.scenarios.executor.run_sweep` and :mod:`repro.results`.
+Sweeps are :func:`repro.scenarios.executor.run_sweep`; artifact
+serialization is :mod:`repro.results`.
 """
 
 from __future__ import annotations
 
 import gc
-import warnings
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
@@ -34,7 +31,6 @@ from repro.checkpoint import MobiStreamsScheme
 from repro.core.metrics import MetricsReport
 from repro.core.system import MobiStreamsSystem, RegionBuildSpec, SystemConfig
 from repro.device.phone import PhoneConfig
-from repro.results.io import COMPACT_THRESHOLD, dumps_artifact  # noqa: F401
 from repro.results.model import CaseResult as ArtifactCase
 from repro.scenarios.events import EventDirector
 from repro.scenarios.spec import ScenarioSpec
@@ -256,33 +252,3 @@ def case_to_dict(result: CaseResult) -> Dict[str, Any]:
     """JSON-ready metrics for one case (stable, timestamp-free)."""
     return case_to_type(result).to_dict()
 
-
-def run_sweep(spec: ScenarioSpec, *args, **kwargs) -> Dict[str, Any]:
-    """Deprecated shim: the sweep machinery lives in
-    :func:`repro.scenarios.executor.run_sweep` (warm pool, resume
-    cache, streaming artifacts); consume the returned dict through
-    :class:`repro.results.ResultSet`."""
-    warnings.warn(
-        "repro.scenarios.runner.run_sweep is deprecated; call "
-        "repro.scenarios.executor.run_sweep (re-exported as "
-        "repro.scenarios.run_sweep) and analyze artifacts with "
-        "repro.results.ResultSet",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.scenarios.executor import run_sweep as _run_sweep
-
-    return _run_sweep(spec, *args, **kwargs)
-
-
-def dumps_result(result: Dict[str, Any], compact: Optional[bool] = None) -> str:
-    """Deprecated shim for the canonical artifact serialization, which
-    lives in :func:`repro.results.io.dumps_artifact` now (use
-    :meth:`repro.results.ResultSet.to_json` for typed sets)."""
-    warnings.warn(
-        "repro.scenarios.runner.dumps_result is deprecated; use "
-        "repro.results.dumps_artifact or ResultSet.to_json",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return dumps_artifact(result, compact=compact)

@@ -9,8 +9,7 @@ for every MobiStreams experiment.  The public surface is:
   awaitable occurrences.
 * :class:`~repro.sim.process.Process` and
   :class:`~repro.sim.process.Interrupt` — generator-based coroutines.
-* :class:`~repro.sim.resources.Resource` and
-  :class:`~repro.sim.resources.Store` — contended capacity and mailboxes.
+* :class:`~repro.sim.resources.Resource` — contended capacity.
 * :class:`~repro.sim.rng.RngRegistry` — named, reproducible random streams.
 * :class:`~repro.sim.monitor.Trace` — structured event recording.
 
@@ -19,14 +18,14 @@ Design notes
 The kernel is deliberately deterministic: given the same master seed and
 the same sequence of API calls, two runs produce identical traces.  All
 randomness is funnelled through :class:`~repro.sim.rng.RngRegistry`; the
-event queue breaks time ties by insertion order.
+event queue (one binary heap) breaks time ties by insertion order.
 """
 
 from repro.sim.core import Simulator, StopSimulation
 from repro.sim.events import AllOf, AnyOf, Event, Timeout
 from repro.sim.monitor import Counter, Trace
 from repro.sim.process import Interrupt, Process
-from repro.sim.resources import Resource, Store
+from repro.sim.resources import Resource
 from repro.sim.rng import RngRegistry
 
 __all__ = [
@@ -40,7 +39,6 @@ __all__ = [
     "RngRegistry",
     "Simulator",
     "StopSimulation",
-    "Store",
     "Timeout",
     "Trace",
 ]

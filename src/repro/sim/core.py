@@ -6,29 +6,15 @@ is reserved for "urgent" occurrences (process initialization, interrupts)
 so they pre-empt ordinary events scheduled at the same instant; ordinary
 events use priority 1.
 
-Two scheduler backends implement that total order:
-
-``heap``
-    A binary heap (the default, and the determinism oracle the other
-    backend is tested against).
-``calendar``
-    A :class:`~repro.sim.calendar.CalendarQueue` — amortized O(1)
-    push/pop for the timer-churn-heavy schedules fleet-scale runs
-    produce, at the price of a slightly costlier ``peek``.
-
-Select with ``Simulator(scheduler=...)`` or the ``REPRO_SIM_SCHEDULER``
-environment variable (the argument wins).  Both produce byte-identical
-event orders, so artifacts never depend on the choice.
+One binary heap implements that total order, and one run loop drains it.
 """
 
 from __future__ import annotations
 
 import heapq
-import os
 from functools import partial
 from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple
 
-from repro.sim.calendar import CalendarQueue
 from repro.sim.events import (  # noqa: F401  (NORMAL/URGENT re-exported)
     NORMAL,
     URGENT,
@@ -40,9 +26,6 @@ from repro.sim.events import (  # noqa: F401  (NORMAL/URGENT re-exported)
     Timeout,
 )
 from repro.sim.process import Process
-
-#: Known scheduler backends.
-SCHEDULERS = ("heap", "calendar")
 
 
 class StopSimulation(Exception):
@@ -74,41 +57,19 @@ class Simulator:
     #: floor keeps tiny queues from compacting on every cancellation.
     COMPACT_MIN_DEAD = 64
 
-    def __init__(
-        self, start_time: float = 0.0, scheduler: Optional[str] = None
-    ) -> None:
+    def __init__(self, start_time: float = 0.0) -> None:
         self._now = float(start_time)
-        if scheduler is None:
-            scheduler = os.environ.get("REPRO_SIM_SCHEDULER") or "heap"
-        if scheduler not in SCHEDULERS:
-            raise ValueError(
-                f"unknown scheduler {scheduler!r}; expected one of "
-                + ", ".join(SCHEDULERS)
-            )
-        #: Which queue backend orders the schedule ("heap" or "calendar").
-        self.scheduler = scheduler
-        if scheduler == "calendar":
-            self._calendar: Optional[CalendarQueue] = CalendarQueue()
-            self._queue: Optional[List[Tuple[float, int, int, Event]]] = None
-            self._push: Callable[[Tuple[float, int, int, Event]], None] = (
-                self._calendar.push
-            )
-        else:
-            self._calendar = None
-            self._queue = []
-            # A C-level partial: the fused Timeout constructor calls this
-            # once per scheduled event, so it must not cost a Python frame.
-            self._push = partial(heapq.heappush, self._queue)
+        self._queue: List[Tuple[float, int, int, Event]] = []
+        # A C-level partial: the fused Timeout constructor calls this
+        # once per scheduled event, so it must not cost a Python frame.
+        self._push = partial(heapq.heappush, self._queue)
         self._seq = 0
         #: Cancelled-but-still-queued entries (lazy deletion bookkeeping).
         self.dead_entries = 0
         self._active_process: Optional[Process] = None
-        #: Events processed so far (the perf subsystem's events/sec).
+        #: Events processed so far (the perf subsystem's events/sec);
+        #: current on every event, so observers sampling mid-run see it.
         self.events_processed = 0
-        #: When True, :meth:`run` keeps ``events_processed`` current on
-        #: every event instead of batch-flushing at loop exit — set by
-        #: live observers (telemetry) that sample mid-run.
-        self.count_inline = False
 
     # -- clock -----------------------------------------------------------
     @property
@@ -207,8 +168,6 @@ class Simulator:
 
     def _queued(self) -> int:
         """Entries currently scheduled (live + cancelled)."""
-        if self._calendar is not None:
-            return len(self._calendar)
         return len(self._queue)
 
     def _note_cancelled(self) -> None:
@@ -233,38 +192,27 @@ class Simulator:
         ``add_callback`` revival knows no queue entry survives and
         re-pushes one at the stored deadline.
         """
-        if self._calendar is not None:
-            self._calendar.compact()
-        else:
-            # In-place so run()'s local alias to the list stays valid.
-            live = []
-            for item in self._queue:
-                if item[3].callbacks is not None:
-                    live.append(item)
-                else:
-                    item[3]._cancelled = _DEAD_DROPPED
-            self._queue[:] = live
-            heapq.heapify(self._queue)
+        # In-place so run()'s local alias to the list stays valid.
+        live = []
+        for item in self._queue:
+            if item[3].callbacks is not None:
+                live.append(item)
+            else:
+                item[3]._cancelled = _DEAD_DROPPED
+        self._queue[:] = live
+        heapq.heapify(self._queue)
         self.dead_entries = 0
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
-        if self._calendar is not None:
-            item = self._calendar.peek()
-            return item[0] if item is not None else float("inf")
         return self._queue[0][0] if self._queue else float("inf")
 
     def step(self) -> None:
         """Process exactly one event; raises :class:`EmptySchedule` if none."""
-        if self._calendar is not None:
-            if not self._calendar:
-                raise EmptySchedule()
-            self._now, _prio, _seq, event = self._calendar.pop()
-        else:
-            try:
-                self._now, _prio, _seq, event = heapq.heappop(self._queue)
-            except IndexError:
-                raise EmptySchedule() from None
+        try:
+            self._now, _prio, _seq, event = heapq.heappop(self._queue)
+        except IndexError:
+            raise EmptySchedule() from None
         self.events_processed += 1
 
         callbacks, event.callbacks = event.callbacks, None
@@ -296,45 +244,16 @@ class Simulator:
                 raise ValueError(f"until ({until}) is in the past (now={self._now})")
             stopper = self.timeout(until - self._now)
             stopper.add_callback(self._stop_callback)
-        if self._calendar is not None:
-            self._run_calendar(until)
-            return
         # The event loop is inlined here (rather than calling step() per
         # event): the method-call overhead, the per-event try/except, and
         # the repeated attribute lookups are measurable at millions of
         # events per run.  Semantics are identical to step().
-        #
-        # The counter is normally batched into a local and flushed once;
-        # with ``count_inline`` set (live telemetry attached) every event
-        # bumps the attribute so observers sampling mid-run see the true
-        # count.  The flag costs nothing when unset — it selects which
-        # loop runs, not a per-event branch.
         queue = self._queue
         heappop = heapq.heappop
-        if self.count_inline:
-            try:
-                while queue:
-                    self._now, _prio, _seq, event = heappop(queue)
-                    self.events_processed += 1
-                    callbacks, event.callbacks = event.callbacks, None
-                    if callbacks is None:
-                        event._cancelled = False
-                        self.dead_entries -= 1
-                        continue
-                    for callback in callbacks:
-                        callback(event)
-                    if event._ok is False and not event._defused:
-                        raise event._value
-                if until is not None and self._now < until:
-                    self._now = until
-            except StopSimulation:
-                pass
-            return
-        processed = 0
         try:
             while queue:
                 self._now, _prio, _seq, event = heappop(queue)
-                processed += 1
+                self.events_processed += 1
                 callbacks, event.callbacks = event.callbacks, None
                 if callbacks is None:
                     event._cancelled = False
@@ -343,44 +262,11 @@ class Simulator:
                 for callback in callbacks:
                     callback(event)
                 if event._ok is False and not event._defused:
-                    self.events_processed += processed
-                    processed = 0
                     raise event._value
-            self.events_processed += processed
             if until is not None and self._now < until:
                 self._now = until
         except StopSimulation:
-            self.events_processed += processed
-
-    def _run_calendar(self, until: Optional[float]) -> None:
-        """The run loop over the calendar backend (semantics of run())."""
-        calendar = self._calendar
-        pop = calendar.pop
-        inline = self.count_inline
-        processed = 0
-        try:
-            while calendar._n:
-                self._now, _prio, _seq, event = pop()
-                if inline:
-                    self.events_processed += 1
-                else:
-                    processed += 1
-                callbacks, event.callbacks = event.callbacks, None
-                if callbacks is None:
-                    event._cancelled = False
-                    self.dead_entries -= 1
-                    continue
-                for callback in callbacks:
-                    callback(event)
-                if event._ok is False and not event._defused:
-                    self.events_processed += processed
-                    processed = 0
-                    raise event._value
-            self.events_processed += processed
-            if until is not None and self._now < until:
-                self._now = until
-        except StopSimulation:
-            self.events_processed += processed
+            pass
 
     def run_until_event(self, event: Event) -> Any:
         """Run until ``event`` triggers; returns its value (raises if failed)."""
@@ -400,7 +286,4 @@ class Simulator:
         raise StopSimulation()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"<Simulator t={self._now:.6f} queued={self._queued()} "
-            f"scheduler={self.scheduler}>"
-        )
+        return f"<Simulator t={self._now:.6f} queued={self._queued()}>"

@@ -1,14 +1,9 @@
-"""Contended resources and mailboxes.
+"""Contended resources.
 
-Two primitives cover every need in this codebase:
-
-* :class:`Resource` — ``capacity`` interchangeable slots, FIFO queueing.
-  Used for the half-duplex WiFi channel (capacity 1) and CPU cores.
-* :class:`Store` — an unbounded (or bounded) FIFO of Python objects with
-  blocking ``get``.  Used as per-node tuple mailboxes and control queues.
-
-Both hand out :class:`~repro.sim.events.Event` objects so processes
-simply ``yield`` them.  A request for a free slot is born processed: it
+:class:`Resource` — ``capacity`` interchangeable slots, FIFO queueing —
+models the half-duplex WiFi channel (capacity 1) and CPU cores.  It
+hands out :class:`~repro.sim.events.Event` objects so processes simply
+``yield`` them.  A request for a free slot is born processed: it
 never enters the event queue, and a process that yields it continues in
 the same step.
 """
@@ -16,7 +11,7 @@ the same step.
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Any, Callable, Deque, Optional
+from typing import TYPE_CHECKING, Deque
 
 from repro.sim.events import PENDING, Event
 
@@ -117,109 +112,3 @@ class Resource:
             except ValueError:
                 pass  # already released / cancelled: idempotent
 
-
-class Store:
-    """FIFO mailbox of arbitrary items with blocking ``get``.
-
-    ``put`` never blocks unless ``capacity`` is set and reached, in which
-    case it raises (back-pressure in this codebase is modelled at the
-    network layer, not in mailboxes — a bounded mailbox overflowing is a
-    programming error we want loud).
-    """
-
-    def __init__(self, sim: "Simulator", capacity: Optional[int] = None) -> None:
-        self.sim = sim
-        self.capacity = capacity
-        self._items: Deque[Any] = deque()
-        self._getters: Deque[Event] = deque()
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    @property
-    def items(self) -> Deque[Any]:
-        """The queued items (read-only view by convention)."""
-        return self._items
-
-    def put(self, item: Any) -> None:
-        """Append ``item``; wakes the oldest waiting getter, if any."""
-        if self.capacity is not None and len(self._items) >= self.capacity:
-            raise OverflowError(
-                f"Store capacity {self.capacity} exceeded; "
-                "mailbox overflow indicates a modelling bug"
-            )
-        self._items.append(item)
-        self._dispatch()
-
-    def get(self) -> Event:
-        """Event that fires with the next item (immediately if available)."""
-        ev = Event(self.sim)
-        self._getters.append(ev)
-        self._dispatch()
-        return ev
-
-    def try_get(self) -> Any:
-        """Non-blocking pop; returns None when empty."""
-        if self._items and not self._getters:
-            return self._items.popleft()
-        return None
-
-    def clear(self) -> int:
-        """Drop all queued items; returns how many were dropped."""
-        n = len(self._items)
-        self._items.clear()
-        return n
-
-    def cancel_getters(self, exc: BaseException) -> None:
-        """Fail all pending ``get`` events (used when a node dies)."""
-        getters, self._getters = self._getters, deque()
-        for ev in getters:
-            if not ev.triggered:
-                ev.fail(exc)
-
-    def _dispatch(self) -> None:
-        while self._items and self._getters:
-            ev = self._getters.popleft()
-            if ev.triggered:  # cancelled getter
-                continue
-            ev.succeed(self._items.popleft())
-
-
-class _FilterGet(Event):
-    """Get-event carrying the predicate it is waiting to satisfy."""
-
-    __slots__ = ("_predicate",)
-
-    def __init__(self, sim: "Simulator", predicate) -> None:
-        super().__init__(sim)
-        self._predicate = predicate
-
-
-class FilterStore(Store):
-    """A :class:`Store` whose getters may demand a matching predicate."""
-
-    def get(self, predicate: Optional[Callable[[Any], bool]] = None) -> Event:
-        """Event that fires with the first item satisfying ``predicate``."""
-        ev = _FilterGet(self.sim, predicate)
-        self._getters.append(ev)
-        self._dispatch()
-        return ev
-
-    def _dispatch(self) -> None:
-        made_progress = True
-        while made_progress:
-            made_progress = False
-            for ev in list(self._getters):
-                if ev.triggered:
-                    self._getters.remove(ev)
-                    continue
-                pred = getattr(ev, "_predicate", None)
-                for item in self._items:
-                    if pred is None or pred(item):
-                        self._items.remove(item)
-                        self._getters.remove(ev)
-                        ev.succeed(item)
-                        made_progress = True
-                        break
-                if made_progress:
-                    break

@@ -1,13 +1,6 @@
 """Shared utilities: units, bitmap arithmetic, statistics, logging."""
 
-from repro.util.bitmaps import (
-    all_received,
-    and_bitmaps,
-    bitmap_bytes,
-    count_received,
-    make_bitmap,
-    missing_indices,
-)
+from repro.util.bitmaps import bitmap_bytes
 from repro.util.stats import mean, mean_ci, percentile, summarize
 from repro.util.units import (
     GB,
@@ -27,19 +20,14 @@ __all__ = [
     "KB",
     "MB",
     "Mbps",
-    "all_received",
-    "and_bitmaps",
     "bitmap_bytes",
     "bits_to_bytes",
     "bytes_to_bits",
-    "count_received",
     "fmt_bytes",
     "fmt_rate",
     "kbps",
-    "make_bitmap",
     "mean",
     "mean_ci",
-    "missing_indices",
     "percentile",
     "summarize",
     "transmission_time",

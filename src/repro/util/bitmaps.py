@@ -5,63 +5,18 @@ returns a bitmap with one bit per message (1 = received).  The sender ANDs
 the bitmaps to find messages missed by at least one receiver, and compares
 the byte *gain* of the round against its byte *cost*.
 
-Bitmaps are ``numpy`` boolean arrays; the helpers below keep all bitmap
-arithmetic vectorized (per the HPC guide: no per-bit Python loops).
+Bitmaps are ``numpy`` boolean arrays; the round arithmetic itself lives
+in :mod:`repro.checkpoint.broadcast` in matrix form.  The helpers below
+size a bitmap reply and count the bytes one bitmap holds.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
 
 import numpy as np
 
 Bitmap = np.ndarray  # alias: 1-D bool array
-
-
-def make_bitmap(n_messages: int, received: Iterable[int] = ()) -> Bitmap:
-    """A bitmap of ``n_messages`` bits with the given indices set."""
-    if n_messages < 0:
-        raise ValueError("n_messages must be >= 0")
-    bm = np.zeros(n_messages, dtype=bool)
-    idx = np.fromiter(received, dtype=np.int64, count=-1)
-    if idx.size:
-        if idx.min() < 0 or idx.max() >= n_messages:
-            raise IndexError("received index out of range")
-        bm[idx] = True
-    return bm
-
-
-def and_bitmaps(bitmaps: Sequence[Bitmap]) -> Bitmap:
-    """AND of all receiver bitmaps: bits every receiver got.
-
-    The complement of this bitmap is the retransmission set: a message must
-    be resent if *any* receiver missed it.
-    """
-    if not bitmaps:
-        raise ValueError("need at least one bitmap")
-    n = len(bitmaps[0])
-    out = np.ones(n, dtype=bool)
-    for bm in bitmaps:
-        if len(bm) != n:
-            raise ValueError("bitmap length mismatch")
-        np.logical_and(out, bm, out=out)
-    return out
-
-
-def missing_indices(anded: Bitmap) -> np.ndarray:
-    """Indices of messages that must be resent (bits that are 0)."""
-    return np.flatnonzero(~anded)
-
-
-def count_received(bitmap: Bitmap) -> int:
-    """Number of messages a receiver holds."""
-    return int(np.count_nonzero(bitmap))
-
-
-def all_received(bitmap: Bitmap) -> bool:
-    """Whether a receiver holds every message."""
-    return bool(bitmap.all())
 
 
 def received_bytes(

@@ -39,9 +39,9 @@ def test_unknown_rule_error_lists_known_names():
         assert name in message
 
 
-def test_catalog_has_all_ten_rules_across_four_families():
+def test_catalog_has_all_nine_rules_across_four_families():
     names = rule_names()
-    assert len(names) == 10
+    assert len(names) == 9
     families = {get_rule(n).family for n in names}
     assert families == {"determinism", "api-contract", "observer-purity",
                         "lock-discipline"}

@@ -10,31 +10,6 @@ def findings(source, rule, relpath="repro/scenarios/fixture.py"):
     return [f for f in lint_source(source, relpath) if f.rule == rule]
 
 
-# -- deprecated-members ---------------------------------------------------
-
-def test_deprecated_members_fires_outside_wifi():
-    hits = findings(
-        """
-        def peers(cell):
-            return [p.phone_id for p in cell.members]
-        """, "deprecated-members")
-    assert len(hits) == 1
-    assert "member_ids()" in hits[0].message
-
-
-def test_deprecated_members_quiet_in_wifi_module_and_for_member_ids():
-    assert findings(
-        """
-        def peers(cell):
-            return cell.members
-        """, "deprecated-members", relpath="repro/net/wifi.py") == []
-    assert findings(
-        """
-        def peers(cell):
-            return cell.member_ids()
-        """, "deprecated-members") == []
-
-
 # -- raw-loss-poke --------------------------------------------------------
 
 def test_raw_loss_poke_fires_on_internal_attrs():

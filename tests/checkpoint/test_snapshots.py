@@ -1,10 +1,9 @@
 """Copy-on-write snapshot protocol: freeze/writable/adopt, chunk store,
-operator ports, and the A/B eager mode."""
+and operator ports."""
 
 import numpy as np
 import pytest
 
-from repro.checkpoint import snapshots
 from repro.checkpoint.snapshots import (
     ChunkStore,
     adopt_array,
@@ -15,13 +14,6 @@ from repro.checkpoint.snapshots import (
     writable,
 )
 from repro.checkpoint.store import CheckpointStore
-
-
-@pytest.fixture
-def eager_mode():
-    old = snapshots.configure("eager")
-    yield
-    snapshots.configure(old)
 
 
 # -- the CoW triple ----------------------------------------------------------
@@ -68,20 +60,6 @@ def test_freeze_state_and_thaw_state_round_trip():
     assert isinstance(thawed["nested"]["seen"], list)
     assert thawed["win"] == (3, 5) and isinstance(thawed["win"], tuple)
     assert thawed["w"] is frozen["w"]  # arrays stay shared; CoW on write
-
-
-def test_eager_mode_restores_copy_semantics(eager_mode):
-    arr = np.arange(4, dtype=np.float64)
-    copy = freeze_array(arr)
-    assert copy is not arr
-    assert arr.flags.writeable  # the operator's array is untouched
-    copy[0] = 7.0
-    assert arr[0] == 0.0
-
-
-def test_configure_rejects_unknown_mode():
-    with pytest.raises(ValueError):
-        snapshots.configure("lazy-ish")
 
 
 # -- chunk store --------------------------------------------------------------

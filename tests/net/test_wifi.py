@@ -278,18 +278,11 @@ def test_trace_counts_bytes():
 
 
 def test_iter_members_and_member_count():
-    """Satellite: the hot broadcast path iterates membership without the
-    per-access list copy that the ``members`` property makes."""
+    """The hot broadcast path iterates membership without copying."""
     sim, cell = make_cell()
     cell.join("A", lambda m: None)
     cell.join("B", lambda m: None)
     assert list(cell.iter_members()) == ["A", "B"]
-    assert cell.member_count == 2
-    # The deprecated property still returns a fresh, caller-owned list,
-    # but warns on every access.
-    with pytest.warns(DeprecationWarning, match="iter_members"):
-        snapshot = cell.members
-    snapshot.append("C")
     assert cell.member_count == 2
     cell.leave("A")
     assert list(cell.iter_members()) == ["B"]

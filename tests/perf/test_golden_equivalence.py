@@ -19,6 +19,7 @@ import os
 import pytest
 
 from repro import scenarios
+from repro.results.io import dumps_artifact
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden_hashes.json")
 
@@ -35,7 +36,7 @@ GUARDED = ("paper-fig8", "failure-cascade", "edgeml-baseline",
 def _artifact_sha256(name: str) -> str:
     spec = scenarios.get(name).quick()
     result = scenarios.run_sweep(spec, jobs=1)
-    payload = scenarios.dumps_result(result) + "\n"
+    payload = dumps_artifact(result) + "\n"
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 

@@ -86,23 +86,6 @@ def test_resume_cache_rows_load_as_single_cases(spec, tmp_path):
         assert rs[0].scenario == "results-t"
 
 
-# -- deprecated shims ---------------------------------------------------------
-def test_dumps_result_shim_warns_and_matches_dumps_artifact(sweep):
-    from repro.scenarios.runner import dumps_result
-
-    with pytest.warns(DeprecationWarning, match="dumps_artifact"):
-        legacy = dumps_result(sweep["result"])
-    assert legacy == dumps_artifact(sweep["result"])
-
-
-def test_runner_run_sweep_shim_warns(spec):
-    from repro.scenarios.runner import run_sweep as legacy_run_sweep
-
-    with pytest.warns(DeprecationWarning, match="executor.run_sweep"):
-        result = legacy_run_sweep(spec, jobs=1)
-    assert result["n_cases"] == 2
-
-
 def test_experiment_outcome_carries_the_typed_case():
     from repro.bench.harness import ExperimentConfig, run_experiment
 

@@ -1,6 +1,5 @@
 """Warm-pool executor tests: resume cache, streaming writer, determinism."""
 
-import json
 import os
 
 import pytest
@@ -46,7 +45,7 @@ def test_spec_digest_tracks_the_code_version(monkeypatch):
 # -- streaming writer ---------------------------------------------------------
 @pytest.mark.parametrize("compact", [True, False])
 @pytest.mark.parametrize("n_rows", [0, 1, 3])
-def test_streaming_writer_matches_dumps_result(tmp_path, compact, n_rows):
+def test_streaming_writer_matches_dumps_artifact(tmp_path, compact, n_rows):
     """The streamed artifact must be byte-identical to the buffered
     canonical serialization, for both layouts, including zero rows."""
     spec = small_spec()
@@ -259,11 +258,3 @@ def test_shutdown_pool_is_idempotent():
         jobs=2,
     )
     assert result["n_cases"] == 2
-
-
-def test_runner_run_sweep_shim_still_works_but_warns():
-    from repro.scenarios.runner import run_sweep as runner_run_sweep
-
-    spec = small_spec(matrix=MatrixSpec(apps=("bcp",), schemes=("base",), seeds=(3,)))
-    with pytest.warns(DeprecationWarning, match="executor.run_sweep"):
-        assert runner_run_sweep(spec, jobs=1)["n_cases"] == 1

@@ -3,17 +3,17 @@
 Cancelled timeouts are left in place (removing from mid-heap is O(n))
 and marked dead; once dead entries hit ``COMPACT_MIN_DEAD`` *and*
 outnumber live ones, the queue is rebuilt without them.  These tests
-drive the trigger directly and check both scheduler backends agree.
+drive the trigger directly.
 """
 
 import pytest
 
-from repro.sim.core import SCHEDULERS, Simulator
+from repro.sim.core import Simulator
 
 
-@pytest.fixture(params=SCHEDULERS)
-def sim(request):
-    return Simulator(scheduler=request.param)
+@pytest.fixture
+def sim():
+    return Simulator()
 
 
 def _queued(sim):

@@ -1,9 +1,8 @@
-"""Tests for Resource and Store."""
+"""Tests for Resource."""
 
 import pytest
 
-from repro.sim import Resource, Simulator, Store
-from repro.sim.resources import FilterStore
+from repro.sim import Resource, Simulator
 
 
 def test_resource_grants_up_to_capacity():
@@ -153,123 +152,3 @@ def test_many_spot_grants_in_a_row_do_not_recurse():
     proc = sim.process(user(sim))
     sim.run()
     assert proc.value == "done"
-
-
-def test_store_put_then_get():
-    sim = Simulator()
-    store = Store(sim)
-    store.put("x")
-
-    def getter(sim):
-        item = yield store.get()
-        return item
-
-    p = sim.process(getter(sim))
-    sim.run()
-    assert p.value == "x"
-
-
-def test_store_get_blocks_until_put():
-    sim = Simulator()
-    store = Store(sim)
-    times = []
-
-    def getter(sim):
-        item = yield store.get()
-        times.append((sim.now, item))
-
-    sim.process(getter(sim))
-    sim.call_in(3.0, lambda: store.put("late"))
-    sim.run()
-    assert times == [(3.0, "late")]
-
-
-def test_store_fifo_item_order():
-    sim = Simulator()
-    store = Store(sim)
-    for i in range(5):
-        store.put(i)
-    got = []
-
-    def getter(sim):
-        for _ in range(5):
-            got.append((yield store.get()))
-
-    sim.process(getter(sim))
-    sim.run()
-    assert got == [0, 1, 2, 3, 4]
-
-
-def test_store_capacity_overflow_raises():
-    sim = Simulator()
-    store = Store(sim, capacity=1)
-    store.put(1)
-    with pytest.raises(OverflowError):
-        store.put(2)
-
-
-def test_store_try_get():
-    sim = Simulator()
-    store = Store(sim)
-    assert store.try_get() is None
-    store.put("a")
-    assert store.try_get() == "a"
-    assert store.try_get() is None
-
-
-def test_store_clear():
-    sim = Simulator()
-    store = Store(sim)
-    store.put(1)
-    store.put(2)
-    assert store.clear() == 2
-    assert len(store) == 0
-
-
-def test_store_cancel_getters():
-    sim = Simulator()
-    store = Store(sim)
-    caught = []
-
-    def getter(sim):
-        try:
-            yield store.get()
-        except RuntimeError as exc:
-            caught.append(str(exc))
-
-    sim.process(getter(sim))
-    sim.call_in(1.0, lambda: store.cancel_getters(RuntimeError("node died")))
-    sim.run()
-    assert caught == ["node died"]
-
-
-def test_filter_store_predicate():
-    sim = Simulator()
-    store = FilterStore(sim)
-    store.put({"kind": "data", "v": 1})
-    store.put({"kind": "token", "v": 2})
-
-    def getter(sim):
-        item = yield store.get(lambda it: it["kind"] == "token")
-        return item["v"]
-
-    p = sim.process(getter(sim))
-    sim.run()
-    assert p.value == 2
-    assert len(store) == 1  # the data item remains
-
-
-def test_filter_store_waits_for_match():
-    sim = Simulator()
-    store = FilterStore(sim)
-    store.put("no-match")
-    got = []
-
-    def getter(sim):
-        item = yield store.get(lambda it: it == "match")
-        got.append((sim.now, item))
-
-    sim.process(getter(sim))
-    sim.call_in(2.0, lambda: store.put("match"))
-    sim.run()
-    assert got == [(2.0, "match")]

@@ -95,8 +95,8 @@ def test_report_gains_events_and_counters(telemetry_case):
 
 
 def test_monitor_detaches_cleanly():
-    """finish() removes every tap: regions, trace observer, inline
-    counting, and the sampler (idempotently)."""
+    """finish() removes every tap: regions, trace observer, and the
+    sampler (idempotently)."""
     from repro.scenarios.runner import build_system
     from repro.telemetry import QoSMonitor
 
@@ -110,7 +110,6 @@ def test_monitor_detaches_cleanly():
     monitor.finish()
     monitor.finish()  # idempotent
     assert all(r.telemetry is None for r in system.regions)
-    assert system.sim.count_inline is False
     n = len(monitor.snapshots)
     system.run(100.0)
     assert len(monitor.snapshots) == n  # sampler cancelled
@@ -148,24 +147,21 @@ def test_call_every_rejects_bad_interval():
         Simulator().call_every(0.0, lambda: None)
 
 
-def test_inline_counting_matches_batched():
-    """count_inline changes when the counter updates, not what it
-    counts: both loops end at the same total."""
+def test_events_processed_is_current_inside_call_every():
+    """The run loop bumps the kernel-event counter per event, so a
+    sampler reading it mid-run sees the count so far, not a stale one."""
+    sim = Simulator()
 
-    def build():
-        sim = Simulator()
+    def ticker(sim):
+        for _ in range(100):
+            yield sim.timeout(0.5)
 
-        def ticker(sim):
-            for _ in range(100):
-                yield sim.timeout(0.5)
-
-        sim.process(ticker(sim))
-        return sim
-
-    batched = build()
-    batched.run(until=30.0)
-    inline = build()
-    inline.count_inline = True
-    inline.run(until=30.0)
-    assert inline.events_processed == batched.events_processed
-    assert inline.now == batched.now
+    sim.process(ticker(sim))
+    seen = []
+    cancel = sim.call_every(10.0, lambda: seen.append(sim.events_processed))
+    sim.run(until=30.0)
+    cancel()
+    # At t=10: init, the 19 ticks before it, and the sample itself (it
+    # was queued before the t=10 tick).  Each later window adds 20 ticks
+    # and one sample; the t=30 sample loses its tie to the stopper.
+    assert seen == [21, 42]

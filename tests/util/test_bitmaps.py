@@ -6,53 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.util import KB
-from repro.util.bitmaps import (
-    all_received,
-    and_bitmaps,
-    bitmap_bytes,
-    count_received,
-    make_bitmap,
-    missing_indices,
-    received_bytes,
-)
-
-
-def test_make_bitmap():
-    bm = make_bitmap(8, [0, 2, 7])
-    assert bm.tolist() == [True, False, True, False, False, False, False, True]
-
-
-def test_make_bitmap_out_of_range():
-    with pytest.raises(IndexError):
-        make_bitmap(4, [4])
-
-
-def test_and_bitmaps():
-    a = make_bitmap(4, [0, 1, 2])
-    b = make_bitmap(4, [1, 2, 3])
-    assert and_bitmaps([a, b]).tolist() == [False, True, True, False]
-
-
-def test_and_bitmaps_length_mismatch():
-    with pytest.raises(ValueError):
-        and_bitmaps([make_bitmap(3), make_bitmap(4)])
-
-
-def test_and_bitmaps_empty_list():
-    with pytest.raises(ValueError):
-        and_bitmaps([])
-
-
-def test_missing_indices():
-    anded = make_bitmap(5, [0, 2, 4])
-    assert missing_indices(anded).tolist() == [1, 3]
-
-
-def test_count_and_all_received():
-    bm = make_bitmap(4, [0, 1, 2, 3])
-    assert count_received(bm) == 4
-    assert all_received(bm)
-    assert not all_received(make_bitmap(4, [0]))
+from repro.util.bitmaps import bitmap_bytes, received_bytes
 
 
 def test_bitmap_bytes_fig6():
@@ -96,36 +50,15 @@ def test_received_bytes_validates_block_count():
 
 # -- property-based ------------------------------------------------------
 @given(
-    n=st.integers(min_value=1, max_value=256),
-    data=st.data(),
-)
-def test_and_is_subset_of_each_bitmap(n, data):
-    k = data.draw(st.integers(min_value=1, max_value=4))
-    bitmaps = [
-        make_bitmap(n, data.draw(st.sets(st.integers(0, n - 1))))
-        for _ in range(k)
-    ]
-    anded = and_bitmaps(bitmaps)
-    for bm in bitmaps:
-        assert not np.any(anded & ~bm)  # anded ⊆ bm
-
-
-@given(n=st.integers(min_value=1, max_value=256), data=st.data())
-def test_missing_plus_received_partition(n, data):
-    bm = make_bitmap(n, data.draw(st.sets(st.integers(0, n - 1))))
-    anded = and_bitmaps([bm])
-    assert len(missing_indices(anded)) + count_received(bm) == n
-
-
-@given(
     n_blocks=st.integers(min_value=1, max_value=64),
     last=st.integers(min_value=1, max_value=KB),
     data=st.data(),
 )
 def test_received_bytes_bounds(n_blocks, last, data):
     total = (n_blocks - 1) * KB + last
-    bm = make_bitmap(n_blocks, data.draw(st.sets(st.integers(0, n_blocks - 1))))
+    bm = np.zeros(n_blocks, dtype=bool)
+    bm[sorted(data.draw(st.sets(st.integers(0, n_blocks - 1))))] = True
     got = received_bytes(bm, KB, total)
     assert 0 <= got <= total
-    if all_received(bm):
+    if bm.all():
         assert got == total
