@@ -1,4 +1,5 @@
-"""Ablation benches: design-choice sweeps called out in DESIGN.md.
+"""Ablation benches: sweeps of the design choices the paper asserts
+without measuring (see :mod:`repro.bench.ablation`).
 
 Run: ``pytest benchmarks/bench_ablation.py --benchmark-only -s``
 """

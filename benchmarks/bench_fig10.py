@@ -5,17 +5,19 @@ Run: ``pytest benchmarks/bench_fig10.py --benchmark-only -s``
 
 import pytest
 
-from repro.bench.fig8 import SCHEME_ORDER
-from repro.bench.fig10 import PAPER_CKPT_NETWORK, PAPER_PRESERVATION, run_fig10
+from repro.bench.fig8 import SCHEME_ORDER, run_fig8
+from repro.bench.fig10 import PAPER_CKPT_NETWORK, PAPER_PRESERVATION, relative
+from repro.scenarios import MatrixSpec
 
 DURATION = 900.0
 
 
 @pytest.mark.parametrize("app_name", ["bcp", "signalguru"])
 def test_fig10_data_volumes(benchmark, app_name):
-    rel = benchmark.pedantic(
-        lambda: run_fig10(app_name, duration_s=DURATION), rounds=1, iterations=1
-    )
+    matrix = MatrixSpec(apps=(app_name,), schemes=SCHEME_ORDER)
+    rel = relative(benchmark.pedantic(
+        lambda: run_fig8(DURATION, matrix=matrix), rounds=1, iterations=1
+    ))
     print(f"\n[fig10/{app_name}] (relative to ms-8 = 1)")
     for label in SCHEME_ORDER:
         print(f"  {label:7s} preservation {rel[label]['preservation']:5.2f} "

@@ -6,16 +6,22 @@ Run: ``pytest benchmarks/bench_fig8.py --benchmark-only -s``
 import pytest
 
 from repro.bench.fig8 import PAPER_LATENCY, SCHEME_ORDER, relative, run_fig8
+from repro.scenarios import MatrixSpec
 
 DURATION = 900.0
 
 
+def run_app(benchmark, app_name):
+    """Fig. 8's seven cases for one app, timed as one benchmark round."""
+    matrix = MatrixSpec(apps=(app_name,), schemes=SCHEME_ORDER)
+    return benchmark.pedantic(
+        lambda: run_fig8(DURATION, matrix=matrix), rounds=1, iterations=1
+    )
+
+
 @pytest.mark.parametrize("app_name", ["bcp", "signalguru"])
 def test_fig8_scheme_sweep(benchmark, app_name):
-    outcomes = benchmark.pedantic(
-        lambda: run_fig8(app_name, duration_s=DURATION), rounds=1, iterations=1
-    )
-    rel = relative(outcomes)
+    rel = relative(run_app(benchmark, app_name))
     print(f"\n[fig8/{app_name}] relative to base:")
     for label in SCHEME_ORDER:
         print(f"  {label:7s} tput {rel[label]['throughput']*100:4.0f}%  "
@@ -43,10 +49,7 @@ def test_fig8_scheme_sweep(benchmark, app_name):
 @pytest.mark.parametrize("app_name", ["bcp"])
 def test_fig8_headline_vs_prior_art(benchmark, app_name):
     """ms vs {rep-2, dist-n}: large tput gain, large latency cut."""
-    outcomes = benchmark.pedantic(
-        lambda: run_fig8(app_name, duration_s=DURATION), rounds=1, iterations=1
-    )
-    rel = relative(outcomes)
+    rel = relative(run_app(benchmark, app_name))
     prior = ["rep-2", "dist-1", "dist-2", "dist-3"]
     tput_gain = sum(
         rel["ms-8"]["throughput"] / rel[o]["throughput"] - 1 for o in prior

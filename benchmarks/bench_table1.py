@@ -8,12 +8,22 @@ values.  Shape assertions guard the headline: MobiStreams beats the
 server deployment on both axes.
 """
 
+import dataclasses
+
 import pytest
 
-from repro.bench.harness import ExperimentConfig, run_experiment
+from repro import scenarios
 from repro.bench.table1 import PAPER, run_server_point
+from repro.scenarios import EventSpec, case_to_type, run_case
 
 DURATION = 600.0
+
+
+def run_ms(app_name, scheme, **overrides):
+    """One MobiStreams case: ``paper-fig8`` at DURATION, fields replaced."""
+    spec = dataclasses.replace(
+        scenarios.get("paper-fig8"), duration_s=DURATION, **overrides)
+    return case_to_type(run_case(spec, app_name, scheme, 3))
 
 
 @pytest.mark.parametrize("app_name", ["bcp", "signalguru"])
@@ -34,20 +44,19 @@ def test_server_dsps_band(benchmark, app_name):
 @pytest.mark.parametrize("app_name", ["bcp", "signalguru"])
 def test_mobistreams_beats_server(benchmark, app_name):
     def run():
-        ms = run_experiment(ExperimentConfig(app=app_name, scheme="base",
-                                             duration_s=DURATION))
+        ms = run_ms(app_name, "base")
         server_t, server_l = run_server_point(app_name, 0.32, DURATION)
         return ms, server_t, server_l
 
     ms, server_t, server_l = benchmark.pedantic(run, rounds=1, iterations=1)
     speedup = ms.throughput / server_t
-    lat_cut = 1 - ms.latency / server_l
-    print(f"\n[table1/{app_name}] MobiStreams {ms.throughput:.3f} t/s / {ms.latency:.0f} s "
+    lat_cut = 1 - ms.latency_s / server_l
+    print(f"\n[table1/{app_name}] MobiStreams {ms.throughput:.3f} t/s / {ms.latency_s:.0f} s "
           f"vs server {server_t:.3f} t/s / {server_l:.0f} s "
           f"-> {speedup:.1f}x tput, {lat_cut * 100:.0f}% lat cut "
           f"(paper: 0.78~42.6x, 10~94.8%)")
     assert ms.throughput > server_t  # MobiStreams wins on throughput
-    assert ms.latency < server_l     # and on latency
+    assert ms.latency_s < server_l   # and on latency
 
 
 @pytest.mark.parametrize("app_name", ["bcp", "signalguru"])
@@ -55,14 +64,11 @@ def test_mobistreams_fault_scenarios(benchmark, app_name):
     """FT on + periodic departures/failures stays close to FT off."""
 
     def run():
-        base = run_experiment(ExperimentConfig(app=app_name, scheme="base",
-                                               duration_s=DURATION))
+        base = run_ms(app_name, "base")
         # Crash mid-way through the second checkpoint period so an MRC
         # exists and catch-up replays at most one period of input.
-        fail = run_experiment(ExperimentConfig(
-            app=app_name, scheme="ms-8", duration_s=DURATION,
-            idle_per_region=4, crash=(0.75 * DURATION, [3]),
-        ))
+        fail = run_ms(app_name, "ms-8", idle_per_region=4, events=(
+            EventSpec(kind="crash", time=0.75 * DURATION, phones=(3,)),))
         return base, fail
 
     base, fail = benchmark.pedantic(run, rounds=1, iterations=1)
@@ -73,6 +79,6 @@ def test_mobistreams_fault_scenarios(benchmark, app_name):
     # A failure per period costs throughput (down time + catch-up
     # reprocessing) but nowhere near the server-deployment collapse.
     # Our pipelines run closer to saturation than the paper's testbed,
-    # so catch-up is slower than their 0.48/0.54 ratio (see
-    # EXPERIMENTS.md).
+    # so catch-up is slower than their 0.48/0.54 ratio (compare the
+    # Table I rows of ``python -m repro bench table1``).
     assert fail.throughput > 0.4 * base.throughput

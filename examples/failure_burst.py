@@ -4,7 +4,8 @@
 "In a smartphone platform, it is common that several phones fail
 simultaneously" (Section I).  This demo crashes 1..5 of BCP's eight
 phones at once under each fault-tolerance scheme and reports who
-survives — the essence of Fig. 9.  Run::
+survives — the essence of Fig. 9.  Every cell is the
+``paper-fig9-burst`` scenario with its burst resized to n phones.  Run::
 
     python examples/failure_burst.py
 """

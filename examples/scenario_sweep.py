@@ -8,8 +8,8 @@ Shows the three layers of the scenario subsystem:
 
 1. the named library (``repro.scenarios.library``) and what each spec
    declares,
-2. a custom declarative spec — a crash burst *plus* a flash-crowd surge,
-   something the classic ``ExperimentConfig`` harness cannot express,
+2. a custom declarative spec — a crash burst *plus* a flash-crowd surge
+   in one timed event script,
 3. the sweep executor fanning a scheme × seed matrix out over worker
    processes, with results identical to a serial run.
 """

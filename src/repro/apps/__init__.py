@@ -22,7 +22,7 @@
 Shared synthetic-vision substrate in :mod:`repro.apps.vision` — the
 cameras and scenes the paper captured with real hardware are generated
 synthetically, but the detectors run real image-processing code on the
-frames (see DESIGN.md's substitution table).
+frames.
 """
 
 from repro.apps.bcp.app import BCPApp, BCPParams

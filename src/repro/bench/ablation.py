@@ -21,13 +21,20 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.bench.harness import ExperimentConfig, format_table, run_experiment
 from repro.checkpoint.broadcast import BroadcastSettings, broadcast_checkpoint
 from repro.net.loss import BernoulliLoss
 from repro.net.packet import Message
 from repro.net.wifi import Unreachable, WifiCell, WifiConfig
+from repro.scenarios import (
+    EventSpec,
+    MatrixSpec,
+    ScenarioSpec,
+    case_to_type,
+    run_case,
+)
 from repro.sim.core import Simulator
 from repro.sim.rng import RngRegistry
+from repro.util.tables import format_table
 from repro.util.units import KB, MB, Mbps
 
 
@@ -244,7 +251,8 @@ def sweep_checkpoint_period(
     crash_at: float = 1200.0,
     seed: int = 3,
 ) -> List[Dict[str, float]]:
-    """Steady overhead vs recovery cost across checkpoint periods.
+    """Steady overhead vs recovery cost across checkpoint periods: one
+    ms-8 scenario per period, each crashing phone 3 at ``crash_at``.
 
     Longer periods mean fewer broadcasts (lower steady network cost) but
     more preserved input to replay: "the catch-up time should be no more
@@ -252,11 +260,15 @@ def sweep_checkpoint_period(
     """
     rows = []
     for period in periods_s:
-        case = run_experiment(ExperimentConfig(
-            app=app_name, scheme="ms-8", duration_s=duration_s,
-            warmup_s=duration_s / 6.0, seed=seed, idle_per_region=4,
-            checkpoint_period_s=period, crash=(crash_at, [3]),
-        )).case
+        spec = ScenarioSpec(
+            name=f"ablation-period-{period:g}", duration_s=duration_s,
+            warmup_s=duration_s / 6.0, idle_per_region=4,
+            checkpoint_period_s=period,
+            events=(EventSpec(kind="crash", time=crash_at, phones=(3,)),),
+            matrix=MatrixSpec(apps=(app_name,), schemes=("ms-8",),
+                              seeds=(seed,)),
+        )
+        case = case_to_type(run_case(spec, app_name, "ms-8", seed))
         rows.append({
             "period_s": period,
             "throughput": case.throughput,

@@ -6,15 +6,17 @@
     duplicates the whole dataflow; dist-n unicasts n state copies;
     local sends nothing; MobiStreams broadcasts each state once (plus
     bitmap/TCP-tree overhead).
+
+The volumes come from Fig. 8's fault-free cases (:func:`fig8.run_fig8`).
 """
 
 from __future__ import annotations
 
 from typing import Dict, List
 
-from repro.bench.fig8 import SCHEME_ORDER, run_fig8
-from repro.bench.harness import format_table
+from repro.bench.fig8 import APPS, SCHEME_ORDER
 from repro.results import ResultSet
+from repro.util.tables import format_table
 
 #: Paper values normalized to ms = 1.
 PAPER_PRESERVATION = {
@@ -31,35 +33,26 @@ PAPER_CKPT_NETWORK = {
 }
 
 
-def run_fig10(app_name: str, duration_s: float = 1200.0,
-              checkpoint_period_s: float = 300.0) -> Dict[str, Dict[str, float]]:
-    """Relative preserved/ft-network bytes per scheme (ms-8 = 1)."""
-    outcomes = run_fig8(app_name, duration_s,
-                        checkpoint_period_s=checkpoint_period_s)
-    rs = ResultSet.from_cases(
-        o.case.replace(scheme=label) for label, o in outcomes.items()
-    )
+def relative(cases: ResultSet) -> Dict[str, Dict[str, float]]:
+    """One app's relative preserved/ft-network bytes per scheme
+    (ms-8 = 1)."""
     # The paper's Fig. 10 normalizer: ms-8 = 1, with the denominator
     # floored at one byte so an all-zero baseline stays finite.
-    rel = rs.relative_to("ms-8", axis="scheme",
-                         metrics=("preserved_bytes", "ft_network_bytes"),
-                         floor=1.0)
-    out: Dict[str, Dict[str, float]] = {}
-    for label, o in outcomes.items():
-        out[label] = {
-            "preservation": rel[label]["preserved_bytes"],
-            "ckpt_network": rel[label]["ft_network_bytes"],
-            "preserved_bytes": o.case.preserved_bytes,
-            "ft_network_bytes": o.case.ft_network_bytes,
-        }
-    return out
+    rel = cases.relative_to("ms-8", axis="scheme",
+                            metrics=("preserved_bytes", "ft_network_bytes"),
+                            floor=1.0)
+    return {
+        scheme: {"preservation": values["preserved_bytes"],
+                 "ckpt_network": values["ft_network_bytes"]}
+        for scheme, values in rel.items()
+    }
 
 
-def report(duration_s: float = 1200.0) -> str:
-    """The printable Fig. 10 reproduction."""
+def report(cases: ResultSet) -> str:
+    """The printable Fig. 10 reproduction from Fig. 8's cases."""
     sections: List[str] = []
-    for app_name in ("bcp", "signalguru"):
-        rel = run_fig10(app_name, duration_s)
+    for app_name in APPS:
+        rel = relative(cases.filter(app=app_name))
         rows = []
         for label in SCHEME_ORDER:
             rows.append([
@@ -77,4 +70,6 @@ def report(duration_s: float = 1200.0) -> str:
 
 
 if __name__ == "__main__":  # pragma: no cover
-    print(report())
+    from repro.bench.fig8 import run_fig8
+
+    print(report(run_fig8()))

@@ -5,19 +5,19 @@ the paper.  The headline claim to reproduce: versus rep-2 and dist-n,
 MobiStreams averages ≈ +230% throughput and ≈ −40% latency; ``local``
 (the unrealistic upper bound) sits closest to base, and dist-n degrades
 monotonically with n.
+
+The 14 cases are the ``paper-fig8`` scenario at the bench's duration,
+run as one sweep; Fig. 10 reads its byte volumes off the same cases.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Dict, List
 
-from repro.bench.harness import (
-    ExperimentConfig,
-    ExperimentOutcome,
-    format_table,
-    run_experiment,
-)
+from repro import scenarios
 from repro.results import ResultSet
+from repro.util.tables import format_table
 
 #: Paper's relative latency bars (base = 1.0). Throughput bars are OCR-
 #: ambiguous in our source; the target ordering is
@@ -30,44 +30,37 @@ PAPER_LATENCY = {
 }
 
 SCHEME_ORDER = ["base", "rep-2", "local", "dist-1", "dist-2", "dist-3", "ms-8"]
+APPS = ("bcp", "signalguru")
 
 
-def run_fig8(app_name: str, duration_s: float = 1200.0,
-             warmup_s: float = 150.0, seed: int = 3,
-             checkpoint_period_s: float = 300.0) -> Dict[str, ExperimentOutcome]:
-    """One fault-free run per scheme."""
-    out: Dict[str, ExperimentOutcome] = {}
-    for label in SCHEME_ORDER:
-        out[label] = run_experiment(ExperimentConfig(
-            app=app_name, scheme=label, duration_s=duration_s,
-            warmup_s=warmup_s, seed=seed,
-            checkpoint_period_s=checkpoint_period_s,
-        ))
-    return out
+def run_fig8(duration_s: float = 1200.0, **overrides) -> ResultSet:
+    """Every fault-free (app, scheme) case of ``paper-fig8`` at
+    ``duration_s``; ``overrides`` replace further spec fields (a smaller
+    ``matrix``, another ``warmup_s``)."""
+    spec = dataclasses.replace(
+        scenarios.get("paper-fig8"), duration_s=duration_s, **overrides)
+    result = scenarios.run_sweep(spec)
+    if "errors" in result:
+        raise RuntimeError(f"Fig. 8 cases failed: {result['errors']}")
+    return ResultSet.from_sweep(result)
 
 
-def relative(outcomes: Dict[str, ExperimentOutcome]) -> Dict[str, Dict[str, float]]:
-    """Normalize to base, as the figure does (via the results API).
-
-    The outcome labels become the comparison axis — normally they *are*
-    the scheme names, but any labelling works (the cases are re-keyed),
-    so ad-hoc comparisons can normalize against whatever they like.
-    """
-    rs = ResultSet.from_cases(
-        o.case.replace(scheme=label) for label, o in outcomes.items()
-    )
-    return rs.relative_to("base", axis="scheme",
-                          metrics=("throughput", "latency"))
+def relative(cases: ResultSet) -> Dict[str, Dict[str, float]]:
+    """One app's cases normalized to base, as the figure does."""
+    return cases.relative_to("base", axis="scheme",
+                             metrics=("throughput", "latency"))
 
 
-def report(duration_s: float = 1200.0) -> str:
-    """The printable Fig. 8 reproduction (tables + bar charts)."""
+def report(cases: ResultSet) -> str:
+    """The printable Fig. 8 reproduction (tables + bar charts) from
+    :func:`run_fig8`'s cases."""
     from repro.bench.plots import fig8_chart
 
     sections: List[str] = []
-    for app_name in ("bcp", "signalguru"):
-        outcomes = run_fig8(app_name, duration_s)
-        rel = relative(outcomes)
+    for app_name in APPS:
+        app_cases = cases.filter(app=app_name)
+        by_scheme = {case.scheme: case for case in app_cases}
+        rel = relative(app_cases)
         rows = []
         for label in SCHEME_ORDER:
             rows.append([
@@ -75,8 +68,8 @@ def report(duration_s: float = 1200.0) -> str:
                 f"{rel[label]['throughput'] * 100:.0f}%",
                 f"{PAPER_LATENCY[app_name][label]:.2f}x",
                 f"{rel[label]['latency']:.2f}x",
-                f"{outcomes[label].throughput:.3f}",
-                f"{outcomes[label].latency:.1f}",
+                f"{by_scheme[label].throughput:.3f}",
+                f"{by_scheme[label].latency_s:.1f}",
             ])
         sections.append(format_table(
             ["scheme", "rel tput (meas)", "rel lat (paper)", "rel lat (meas)",
@@ -88,4 +81,4 @@ def report(duration_s: float = 1200.0) -> str:
 
 
 if __name__ == "__main__":  # pragma: no cover
-    print(report())
+    print(report(run_fig8()))

@@ -14,9 +14,12 @@ Reproduced findings:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+import dataclasses
+from typing import Dict, List, Tuple
 
-from repro.bench.harness import ExperimentConfig, format_table, run_experiment
+from repro import scenarios
+from repro.scenarios import EventSpec, MatrixSpec, case_to_type, run_case
+from repro.util.tables import format_table
 
 #: Scheme -> maximum simultaneous failures it tolerates (None = all).
 TOLERANCE = {"rep-2": 1, "dist-1": 1, "dist-2": 2, "dist-3": 3, "ms-8": None}
@@ -28,16 +31,22 @@ FAIL_ORDER = [3, 4, 5, 6, 2, 7, 1, 0]
 def run_fig9_point(
     app_name: str, scheme: str, n: int, mode: str = "fail",
     duration_s: float = 900.0, fault_time: float = 450.0, seed: int = 3,
-) -> Optional[Tuple[float, float, bool]]:
-    """One (scheme, n) point; returns (tput, latency, recovered)."""
-    idxs = FAIL_ORDER[:n]
-    cfg = ExperimentConfig(
-        app=app_name, scheme=scheme, duration_s=duration_s, seed=seed,
-        idle_per_region=8,  # the region has spare phones to promote
-        crash=(fault_time, idxs) if (mode == "fail" and n) else None,
-        depart=(fault_time, idxs) if (mode == "depart" and n) else None,
+) -> Tuple[float, float, bool]:
+    """One (scheme, n) point; returns (tput, latency, recovered).
+
+    The point is ``paper-fig9-burst`` (a region with spare phones to
+    promote) with its burst resized to ``n`` phones crashing
+    (``mode="fail"``) or departing (``"depart"``) at ``fault_time``.
+    """
+    kind = "crash" if mode == "fail" else "depart"
+    events = (EventSpec(kind=kind, time=fault_time,
+                        phones=tuple(FAIL_ORDER[:n])),) if n else ()
+    spec = dataclasses.replace(
+        scenarios.get("paper-fig9-burst"), duration_s=duration_s,
+        events=events,
+        matrix=MatrixSpec(apps=(app_name,), schemes=(scheme,), seeds=(seed,)),
     )
-    case = run_experiment(cfg).case
+    case = case_to_type(run_case(spec, app_name, scheme, seed))
     return case.throughput, case.latency_s, not case.stopped
 
 
@@ -49,27 +58,21 @@ def run_fig9(app_name: str, duration_s: float = 900.0,
     per-scheme n=0 point is each curve's own normalizer, matching the
     paper's relative axes.
     """
-    curves: Dict[str, List[Tuple[int, float, float, bool]]] = {}
-    for scheme, tol in TOLERANCE.items():
+    def curve(scheme: str, mode: str, limit: int):
         series = []
-        base_t = base_l = None
-        limit = max_n if tol is None else tol
         for n in range(0, limit + 1):
-            point = run_fig9_point(app_name, scheme, n, "fail", duration_s)
-            tput, lat, ok = point
+            tput, lat, ok = run_fig9_point(app_name, scheme, n, mode, duration_s)
             if n == 0:
                 base_t, base_l = max(tput, 1e-9), max(lat, 1e-9)
             series.append((n, tput / base_t, lat / base_l, ok))
-        curves[f"{scheme} failure"] = series
+        return series
+
+    curves: Dict[str, List[Tuple[int, float, float, bool]]] = {
+        f"{scheme} failure": curve(scheme, "fail", max_n if tol is None else tol)
+        for scheme, tol in TOLERANCE.items()
+    }
     # Departures: only MobiStreams handles them.
-    series = []
-    base_t = base_l = None
-    for n in range(0, max_n + 1):
-        tput, lat, ok = run_fig9_point(app_name, "ms-8", n, "depart", duration_s)
-        if n == 0:
-            base_t, base_l = max(tput, 1e-9), max(lat, 1e-9)
-        series.append((n, tput / base_t, lat / base_l, ok))
-    curves["ms-8 departure"] = series
+    curves["ms-8 departure"] = curve("ms-8", "depart", max_n)
     return curves
 
 

@@ -7,21 +7,30 @@ Rows reproduced:
 * MobiStreams with FT off (``base``),
 * MobiStreams + a phone departing every checkpoint period,
 * MobiStreams + a phone failing every checkpoint period.
+
+The MobiStreams rows are scenario cases run by
+:func:`repro.scenarios.run_case`; the server rows drive
+:class:`~repro.baselines.server_dsps.ServerDSPS`, which is not a
+MobiStreams deployment.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Dict, List, Tuple
 
+from repro import scenarios
+from repro.apps.registry import create_app
 from repro.baselines.server_dsps import ServerDSPS, ServerDSPSConfig
-from repro.bench.harness import (
-    ExperimentConfig,
-    app_factory,
-    format_table,
-    run_experiment,
-    scheme_factories,
-)
 from repro.net.cellular import CellularConfig
+from repro.scenarios import (
+    EventSpec,
+    MatrixSpec,
+    ScenarioSpec,
+    case_to_type,
+    run_case,
+)
+from repro.util.tables import format_table
 from repro.util.units import Mbps
 
 #: Paper values: (throughput band, latency band) per app.
@@ -49,7 +58,7 @@ def run_server_point(app_name: str, uplink_mbps: float, duration_s: float = 900.
         uplink_capacity_bps=Mbps(max(1.5, uplink_mbps * 4)),
     )
     dsps = ServerDSPS(
-        app_factory(app_name)(),
+        create_app(app_name),
         ServerDSPSConfig(cellular=cellular, master_seed=3),
     )
     dsps.run(duration_s)
@@ -70,8 +79,10 @@ def run_table1(app_name: str, duration_s: float = 900.0) -> Dict[str, Tuple]:
         (min(lo[1], hi[1]), max(lo[1], hi[1])),
     )
 
-    base = run_experiment(ExperimentConfig(app=app_name, scheme="base",
-                                           duration_s=duration_s)).case
+    # FT off is Fig. 8's fault-free base case at this duration.
+    base_spec = dataclasses.replace(
+        scenarios.get("paper-fig8"), duration_s=duration_s)
+    base = case_to_type(run_case(base_spec, app_name, "base", 3))
     results["ms_ft_off"] = (base.throughput, base.latency_s)
 
     # "A phone leaves its region every five minutes" / "a phone fails
@@ -93,28 +104,24 @@ def run_ms_recurring(
     fault_period_s: float = 300.0, warmup_s: float = 150.0, seed: int = 3,
 ) -> Tuple[float, float]:
     """MobiStreams under one fault per checkpoint period (Table I rows
-    2-3).  ``mode`` is ``"depart"`` or ``"fail"``."""
-    from repro.core.system import MobiStreamsSystem, SystemConfig
-    from repro.device.mobility import ScriptedDepartures
-
+    2-3): a crash (``mode="fail"``) or departure (``"depart"``) at every
+    period boundary before the end, with a spare phone per fault."""
     n_events = max(1, int(duration_s // fault_period_s) - 1)
-    sys_cfg = SystemConfig(
-        n_regions=1, phones_per_region=8,
-        idle_per_region=n_events + 2, master_seed=seed,
+    kind = "crash" if mode == "fail" else "depart"
+    spec = ScenarioSpec(
+        name=f"table1-{mode}",
+        duration_s=duration_s,
+        warmup_s=warmup_s,
+        idle_per_region=n_events + 2,
         checkpoint_period_s=fault_period_s,
+        events=tuple(
+            EventSpec(kind=kind, time=fault_period_s * (i + 1), phones=(idx,))
+            for i, idx in enumerate(FAULT_ROTATION[:n_events])
+        ),
+        matrix=MatrixSpec(apps=(app_name,), schemes=("ms-8",), seeds=(seed,)),
     )
-    system = MobiStreamsSystem(
-        sys_cfg, app_factory(app_name)(), scheme_factories()["ms-8"])
-    system.start()
-    ids = [f"region0.p{i}" for i in FAULT_ROTATION[:n_events]]
-    if mode == "fail":
-        system.injector.periodic_crashes(fault_period_s, ids)
-    else:
-        system.attach_mobility(ScriptedDepartures.periodic(fault_period_s, ids))
-    system.run(duration_s)
-    report = system.metrics(warmup_s=warmup_s)
-    rm = report.region("region0")
-    return rm.throughput_tps, rm.mean_latency_s
+    case = case_to_type(run_case(spec, app_name, "ms-8", seed))
+    return case.throughput, case.latency_s
 
 
 def report(duration_s: float = 900.0) -> str:

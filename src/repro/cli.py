@@ -96,10 +96,9 @@ import sys
 from typing import List, Optional, Tuple
 
 from repro.apps import registry as app_registry
-from repro.bench.fig8 import PAPER_LATENCY, SCHEME_ORDER
-from repro.bench.harness import ExperimentConfig, run_experiment, scheme_factories
-from repro.bench.table1 import PAPER as TABLE1_PAPER
 from repro.results import ResultSet, build_report
+from repro.scenarios.runner import scheme_factories
+from repro.util.tables import format_table
 
 APPS = tuple(app_registry.app_names())
 
@@ -169,7 +168,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="run one deployment and report metrics")
     run_p.add_argument("--app", choices=APPS, default="bcp")
-    run_p.add_argument("--scheme", choices=SCHEME_ORDER, default="ms-8")
+    run_p.add_argument("--scheme", choices=list(scheme_factories()),
+                       default="ms-8")
     run_p.add_argument("--duration", type=float, default=900.0,
                        help="simulated seconds (default 900)")
     run_p.add_argument("--warmup", type=float, default=150.0)
@@ -436,29 +436,38 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_run(args) -> int:
-    cfg = ExperimentConfig(
-        app=args.app, scheme=args.scheme, duration_s=args.duration,
-        warmup_s=args.warmup, seed=args.seed, n_regions=args.regions,
-        phones_per_region=args.phones, idle_per_region=args.idle,
-        checkpoint_period_s=args.period, crash=args.crash,
-        depart=args.depart,
+    from repro.scenarios import EventSpec, MatrixSpec, ScenarioSpec, run_case
+
+    events = tuple(
+        EventSpec(kind=kind, time=t, phones=tuple(idxs))
+        for kind, faults in (("crash", args.crash), ("depart", args.depart))
+        for t, idxs in faults or ()
     )
-    out = run_experiment(cfg)
+    spec = ScenarioSpec(
+        name=f"run-{args.app}-{args.scheme}", duration_s=args.duration,
+        warmup_s=args.warmup, n_regions=args.regions,
+        phones_per_region=args.phones, idle_per_region=args.idle,
+        checkpoint_period_s=args.period, events=events,
+        matrix=MatrixSpec(apps=(args.app,), schemes=(args.scheme,),
+                          seeds=(args.seed,)),
+    )
+    out = run_case(spec, args.app, args.scheme, args.seed)
+    r = out.report
     print(f"app={args.app} scheme={args.scheme} "
           f"duration={args.duration:.0f}s seed={args.seed}")
-    for name, rm in out.report.per_region.items():
+    for name, rm in r.per_region.items():
         print(f"  {name}: {rm.output_tuples} outputs, "
               f"{rm.throughput_tps:.3f} t/s, "
               f"latency mean {rm.mean_latency_s:.1f}s "
               f"p95 {rm.p95_latency_s:.1f}s")
-    if out.region_stopped:
+    stopped = out.region_stopped[0]
+    if stopped:
         print("  region0 STOPPED (unrecoverable failure set)")
     if out.recoveries:
         print(f"  recoveries: {out.recoveries}")
-    if out.report.departures_handled:
-        print(f"  departures handled: {out.report.departures_handled}")
+    if r.departures_handled:
+        print(f"  departures handled: {r.departures_handled}")
     if args.verbose:
-        r = out.report
         print(f"  preserved bytes:    {r.preserved_bytes:,.0f}")
         print(f"  ft network bytes:   {r.ft_network_bytes:,.0f}")
         print(f"  wifi bytes:         {r.wifi_bytes:,.0f}")
@@ -468,7 +477,7 @@ def cmd_run(args) -> int:
                   if not k.startswith(("net.", "ft."))}
         for name, value in extras.items():
             print(f"  {name + ':':<19s} {value:,.0f}")
-    return 1 if out.region_stopped else 0
+    return 1 if stopped else 0
 
 
 def cmd_bench(args) -> int:
@@ -665,7 +674,6 @@ def cmd_fabric(args) -> int:
 
 def cmd_scenario(args) -> int:
     from repro import scenarios
-    from repro.bench.harness import format_table
 
     if args.scenario_command == "list":
         rows = []
@@ -769,8 +777,6 @@ def cmd_scenario(args) -> int:
 
 
 def cmd_app(args) -> int:
-    from repro.bench.harness import format_table
-
     if args.app_command == "list":
         rows = []
         for entry in app_registry.all_apps():
@@ -1069,6 +1075,9 @@ def cmd_fuzz(args) -> int:
 
 
 def cmd_info(args) -> int:
+    from repro.bench.fig8 import PAPER_LATENCY
+    from repro.bench.table1 import PAPER as TABLE1_PAPER
+
     print("applications (see `repro app list`):")
     for entry in app_registry.all_apps():
         head, _, tail = entry.description.partition(": ")

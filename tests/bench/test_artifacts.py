@@ -8,9 +8,11 @@ formatting) so a broken bench fails fast in the unit suite.
 import pytest
 
 from repro.bench import fig8, fig9, fig10, table1
+from repro.scenarios import MatrixSpec
 
 
 DURATION = 400.0  # BCP end-to-end latency is tens of seconds
+BCP_ALL = MatrixSpec(apps=("bcp",), schemes=fig8.SCHEME_ORDER)
 
 
 def test_table1_paper_constants_present():
@@ -54,7 +56,8 @@ def test_fig9_zero_point_has_no_faults():
 def test_fig10_relative_to_ms():
     # ms-8's multi-MB broadcasts need a couple hundred seconds of air
     # time beyond the period before the volumes are representative.
-    rel = fig10.run_fig10("bcp", duration_s=800.0, checkpoint_period_s=200.0)
+    cases = fig8.run_fig8(800.0, checkpoint_period_s=200.0, matrix=BCP_ALL)
+    rel = fig10.relative(cases)
     assert rel["ms-8"]["preservation"] == pytest.approx(1.0)
     assert rel["ms-8"]["ckpt_network"] == pytest.approx(1.0)
     assert rel["base"]["preservation"] == 0.0
@@ -64,9 +67,9 @@ def test_fig10_relative_to_ms():
 
 
 def test_fig8_run_produces_all_schemes():
-    outcomes = fig8.run_fig8("bcp", duration_s=DURATION, warmup_s=100.0)
-    assert set(outcomes) == set(fig8.SCHEME_ORDER)
-    rel = fig8.relative(outcomes)
+    cases = fig8.run_fig8(DURATION, warmup_s=100.0, matrix=BCP_ALL)
+    assert cases.schemes == fig8.SCHEME_ORDER
+    rel = fig8.relative(cases)
     assert rel["base"]["throughput"] == pytest.approx(1.0)
     for label in fig8.SCHEME_ORDER:
         assert rel[label]["latency"] > 0

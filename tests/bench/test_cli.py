@@ -1,8 +1,23 @@
 """Tests for the command-line interface."""
 
+import pathlib
+import re
+import subprocess
+import sys
+
 import pytest
 
 from repro.cli import _parse_fault, build_parser, main
+
+GOLDEN = pathlib.Path(__file__).parent / "golden" / "bench_all_quick.txt"
+RULE = "=" * 72
+
+
+def bench_sections(text):
+    """``bench`` stdout as {artifact: body}, timing lines dropped."""
+    text = re.sub(r"^\[\w+ regenerated in .*s wall\]\n", "", text, flags=re.M)
+    chunks = re.split(rf"\n{RULE}\n(\w+)\n{RULE}\n", text)
+    return dict(zip(chunks[1::2], chunks[2::2]))
 
 
 # -- argument parsing ------------------------------------------------------------
@@ -84,6 +99,37 @@ def test_run_command_exit_code_on_region_loss(capsys):
     out = capsys.readouterr().out
     assert rc == 1
     assert "STOPPED" in out
+
+
+def test_run_command_with_departure(capsys):
+    rc = main(["run", "--app", "bcp", "--scheme", "ms-8",
+               "--duration", "240", "--warmup", "20", "--period", "60",
+               "--idle", "4", "--depart", "100:3"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "departures handled: 1" in out
+
+
+@pytest.mark.parametrize("artifact", ["table1", "fig8"])
+def test_bench_quick_matches_golden(capsys, artifact):
+    """The paper artifacts print the committed quick-run cells exactly."""
+    assert main(["bench", artifact, "--quick"]) == 0
+    fresh = bench_sections(capsys.readouterr().out)
+    golden = bench_sections(GOLDEN.read_text(encoding="utf-8"))
+    assert list(fresh) == [artifact]
+    assert fresh[artifact] == golden[artifact]
+
+
+def test_cli_import_loads_no_bench_module():
+    """Cold start: the paper artifacts load only when a command needs
+    them, never at CLI import."""
+    src = pathlib.Path(__file__).resolve().parents[2] / "src"
+    code = ("import sys, repro.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[:2] == ['repro', 'bench']))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True,
+                          env={"PYTHONPATH": str(src), "PATH": "/usr/bin:/bin"})
+    assert proc.stdout.strip() == "[]"
 
 
 def test_info_command(capsys):

@@ -1,4 +1,5 @@
-"""Tests for the shared experiment harness behind every bench."""
+"""Tests for the pieces every bench shares: scheme and app factories,
+fault scripts run as scenario cases, and the table renderer."""
 
 import pytest
 
@@ -9,14 +10,11 @@ from repro.baselines import (
     NoFaultTolerance,
 )
 from repro.bench.fig8 import SCHEME_ORDER, relative
-from repro.bench.harness import (
-    ExperimentConfig,
-    ExperimentOutcome,
-    format_table,
-    run_experiment,
-    scheme_factories,
-)
 from repro.checkpoint import MobiStreamsScheme
+from repro.results import ResultSet
+from repro.scenarios import EventSpec, MatrixSpec, ScenarioSpec, run_case
+from repro.scenarios.runner import app_factory, case_to_type, scheme_factories
+from repro.util.tables import format_table
 
 
 def test_scheme_factories_cover_the_figure_labels():
@@ -38,110 +36,54 @@ def test_factories_return_fresh_instances():
 
 
 def test_unknown_app_rejected():
-    from repro.bench.harness import app_factory
-
     with pytest.raises(ValueError):
         app_factory("nope")
 
 
-@pytest.fixture(scope="module")
-def quick_run():
-    return run_experiment(ExperimentConfig(
-        app="bcp", scheme="base", duration_s=400.0, warmup_s=100.0, seed=3,
-        n_regions=1,
-    ))
+def run(scheme="ms-8", seed=3, events=(), **overrides):
+    """One bcp case of a small scenario with the given fault script."""
+    fields = dict(name="bench-t", duration_s=240.0, warmup_s=20.0,
+                  idle_per_region=4, checkpoint_period_s=60.0)
+    fields.update(overrides)
+    spec = ScenarioSpec(
+        events=events,
+        matrix=MatrixSpec(apps=("bcp",), schemes=(scheme,), seeds=(seed,)),
+        **fields)
+    return run_case(spec, "bcp", scheme, seed)
 
 
-def test_run_experiment_produces_metrics(quick_run):
-    out = quick_run
-    assert isinstance(out, ExperimentOutcome)
-    assert out.throughput > 0
-    assert out.latency > 0
-    assert out.recoveries == 0
-    assert not out.region_stopped
-
-
-def test_run_experiment_is_deterministic(quick_run):
-    again = run_experiment(ExperimentConfig(
-        app="bcp", scheme="base", duration_s=400.0, warmup_s=100.0, seed=3,
-        n_regions=1,
-    ))
-    assert again.throughput == quick_run.throughput
-    assert again.latency == quick_run.latency
-
-
-def test_run_experiment_seed_changes_results():
-    a = run_experiment(ExperimentConfig(
-        app="bcp", scheme="base", duration_s=400.0, warmup_s=100.0, seed=3))
-    b = run_experiment(ExperimentConfig(
-        app="bcp", scheme="base", duration_s=400.0, warmup_s=100.0, seed=4))
-    assert (a.throughput, a.latency) != (b.throughput, b.latency)
+def test_seed_changes_results():
+    a = case_to_type(run("base", 3, duration_s=400.0, warmup_s=100.0))
+    b = case_to_type(run("base", 4, duration_s=400.0, warmup_s=100.0))
+    assert (a.throughput, a.latency_s) != (b.throughput, b.latency_s)
 
 
 def test_crash_config_injects_failures():
-    out = run_experiment(ExperimentConfig(
-        app="bcp", scheme="ms-8", duration_s=240.0, warmup_s=20.0, seed=3,
-        idle_per_region=4, checkpoint_period_s=60.0, crash=(100.0, [3]),
-    ))
+    out = run(events=(EventSpec(kind="crash", time=100.0, phones=(3,)),))
     assert out.recoveries >= 1
-    assert not out.region_stopped
+    assert out.region_stopped == [False]
 
 
 def test_crash_accepts_a_list_of_timed_faults():
-    # Two separate bursts across checkpoint periods — inexpressible with
-    # the old single-tuple field.
-    out = run_experiment(ExperimentConfig(
-        app="bcp", scheme="ms-8", duration_s=300.0, warmup_s=20.0, seed=3,
-        idle_per_region=4, checkpoint_period_s=60.0,
-        crash=[(100.0, [3]), (200.0, [4])],
+    # Two separate bursts across checkpoint periods.
+    out = run(duration_s=300.0, events=(
+        EventSpec(kind="crash", time=100.0, phones=(3,)),
+        EventSpec(kind="crash", time=200.0, phones=(4,)),
     ))
     assert out.recoveries >= 2
-    assert not out.region_stopped
-
-
-def test_bare_tuple_and_singleton_list_are_equivalent():
-    cfg_tuple = ExperimentConfig(
-        app="bcp", scheme="ms-8", duration_s=240.0, warmup_s=20.0, seed=3,
-        idle_per_region=4, checkpoint_period_s=60.0, crash=(100.0, [3]),
-    )
-    cfg_list = ExperimentConfig(
-        app="bcp", scheme="ms-8", duration_s=240.0, warmup_s=20.0, seed=3,
-        idle_per_region=4, checkpoint_period_s=60.0, crash=[(100.0, [3])],
-    )
-    assert cfg_tuple.crash_events == cfg_list.crash_events
-    a, b = run_experiment(cfg_tuple), run_experiment(cfg_list)
-    assert (a.throughput, a.latency) == (b.throughput, b.latency)
-
-
-def test_tuple_of_fault_tuples_is_a_fault_list():
-    cfg = ExperimentConfig(crash=((100.0, [3]), (200.0, [4])))
-    assert cfg.crash_events == [(100.0, [3]), (200.0, [4])]
-
-
-def test_config_compiles_to_scenario_spec():
-    cfg = ExperimentConfig(app="bcp", scheme="ms-8", crash=(100.0, [3, 4]),
-                           depart=[(200.0, [5])])
-    spec = cfg.to_scenario()
-    assert [e.kind for e in spec.events] == ["crash", "depart"]
-    assert spec.events[0].phones == (3, 4)
-    assert tuple(a.key for a in spec.matrix.apps) == ("bcp",)
-    assert spec.matrix.schemes == ("ms-8",)
-    assert spec.matrix.seeds == (3,)
+    assert out.region_stopped == [False]
 
 
 def test_depart_config_triggers_state_transfer():
-    out = run_experiment(ExperimentConfig(
-        app="bcp", scheme="ms-8", duration_s=240.0, warmup_s=20.0, seed=3,
-        idle_per_region=4, checkpoint_period_s=60.0, depart=(100.0, [3]),
-    ))
+    out = run(events=(EventSpec(kind="depart", time=100.0, phones=(3,)),))
     assert out.report.departures_handled >= 1
-    assert not out.region_stopped
+    assert out.region_stopped == [False]
 
 
 def test_relative_normalizes_to_base():
-    base = run_experiment(ExperimentConfig(
-        app="bcp", scheme="base", duration_s=400.0, warmup_s=100.0))
-    rel = relative({"base": base, "other": base})
+    base = case_to_type(run("base", duration_s=400.0, warmup_s=100.0))
+    rel = relative(ResultSet.from_cases(
+        [base, base.replace(scheme="other")]))
     assert rel["base"]["throughput"] == pytest.approx(1.0)
     assert rel["base"]["latency"] == pytest.approx(1.0)
     assert rel["other"]["throughput"] == pytest.approx(1.0)

@@ -259,9 +259,9 @@ def test_from_sweep_rejects_non_list_cases(rs):
 def test_format_table_is_shared_with_the_bench_harness():
     """One renderer: the bench layout and the report layout must never
     drift apart (regression: report.py carried a copy)."""
-    from repro.bench import harness
+    from repro.bench import fig8
     from repro.results import report
     from repro.util.tables import format_table
 
-    assert harness.format_table is format_table
+    assert fig8.format_table is format_table
     assert report.format_table is format_table

@@ -2,12 +2,8 @@
 
 The acceptance bar of the results redesign: every artifact a sweep
 writes — buffered, streamed, pretty, or compact — loads into a typed
-:class:`ResultSet` and serializes back to the *identical bytes*, and the
-deprecated runner shims keep working (with a warning) while producing
-those same bytes.
+:class:`ResultSet` and serializes back to the *identical bytes*.
 """
-
-import json
 
 import pytest
 
@@ -84,14 +80,3 @@ def test_resume_cache_rows_load_as_single_cases(spec, tmp_path):
         rs = ResultSet.load(str(path))
         assert len(rs) == 1
         assert rs[0].scenario == "results-t"
-
-
-def test_experiment_outcome_carries_the_typed_case():
-    from repro.bench.harness import ExperimentConfig, run_experiment
-
-    out = run_experiment(ExperimentConfig(
-        app="bcp", scheme="base", duration_s=200.0, warmup_s=40.0, seed=3))
-    assert out.case.scheme == "base"
-    assert out.throughput == out.case.throughput
-    assert out.latency == out.case.latency_s
-    json.dumps(out.case.to_dict(), allow_nan=False)

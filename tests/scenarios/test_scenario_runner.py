@@ -108,22 +108,6 @@ def test_sweep_rejects_bad_jobs():
         run_sweep(small_spec(), jobs=0)
 
 
-def test_run_experiment_equals_scenario_path():
-    """The refactored harness and the scenario runner are the same code
-    path: identical numbers for the identical deployment."""
-    from repro.bench.harness import ExperimentConfig, run_experiment
-
-    cfg = ExperimentConfig(app="bcp", scheme="ms-8", duration_s=400.0,
-                           warmup_s=40.0, seed=3, idle_per_region=4,
-                           checkpoint_period_s=60.0, crash=(100.0, [3]))
-    out = run_experiment(cfg)
-    case = run_case(cfg.to_scenario(), "bcp", "ms-8", 3)
-    assert out.report.per_region["region0"].output_tuples > 0
-    assert out.throughput == case.report.per_region["region0"].throughput_tps
-    assert out.latency == case.report.per_region["region0"].mean_latency_s
-    assert out.recoveries == case.report.recoveries
-
-
 def test_parallel_sweep_spreads_cases_over_worker_processes(tmp_path):
     """The parallel half of the sweep claim as work counts: the artifact
     equals the serial one and the cases ran in more than one worker
