@@ -8,9 +8,8 @@ and the rest of the platform refers to them by :class:`AppRef` — a
 JSON-round-trippable reference that is either a bare name (``"bcp"``)
 or a name with parameter overrides
 (``{"name": "bcp", "params": {"n_counters": 8}}``).  Scenario matrices,
-the sweep executor, the bench harness, and the perf suites all accept
-refs, so any app axis of an experiment can vary application parameters
-declaratively.
+the sweep executor and the bench harness all accept refs, so any app
+axis of an experiment can vary application parameters declaratively.
 
 Refs are hashable and canonical: two refs with the same name and the
 same parameter values compare equal regardless of dict ordering, and

@@ -33,10 +33,10 @@ equal collapse to one stored chunk even when they are distinct objects
 Chunks are held by weak reference, so pruned versions free their bytes
 as usual.
 
-**Historical record.**  The committed
-``benchmarks/baselines/pre_pr/BENCH_checkpoint.json`` holds the peak
-memory of the eager-copy semantics this module replaced; it is the
-number the copy-on-write saving is pinned against.
+**Historical record.**  ``EAGER_SNAPSHOT_PEAK_KB`` in
+``tests/checkpoint/test_snapshots.py`` pins the peak memory of the
+eager-copy semantics this module replaced; it is the number the
+copy-on-write saving is checked against.
 """
 
 from __future__ import annotations

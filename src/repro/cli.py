@@ -28,11 +28,6 @@ Commands
     ``--replay`` a saved ``*.timeline.json`` artifact frame by frame.
     Pair with ``scenario sweep --telemetry --out sweep.json``, which
     drops per-case timelines into ``sweep.timelines/``.
-``perf``
-    The performance subsystem: ``run`` the benchmark suites into
-    ``BENCH_<suite>.json`` artifacts, ``compare`` a run against the
-    committed baseline with a regression threshold (non-zero exit on
-    regression — the CI perf-smoke gate).
 ``fabric``
     Distributed sweeps (see :mod:`repro.fabric`): ``coordinator`` binds
     a TCP control plane and shards one sweep's case matrix over
@@ -76,8 +71,6 @@ Examples
     python -m repro report sweep.json --metrics throughput,latency --format md
     python -m repro app list
     python -m repro app show edgeml
-    python -m repro perf run --quick
-    python -m repro perf compare --threshold 0.25
     python -m repro scenario run paper-fig8 --quick --verify
     python -m repro fabric coordinator paper-fig8 --quick --bind :7381 \\
         --out sweep.json
@@ -361,32 +354,6 @@ def build_parser() -> argparse.ArgumentParser:
         "show", help="print one app's operators, placement, and parameters")
     app_show.add_argument("name")
 
-    perf_p = sub.add_parser("perf", help="performance benchmarks")
-    perf_sub = perf_p.add_subparsers(dest="perf_command", required=True)
-    perf_run = perf_sub.add_parser(
-        "run", help="run benchmark suites, write BENCH_<suite>.json")
-    perf_run.add_argument("--quick", action="store_true",
-                          help="smaller workloads (completes in <60s)")
-    perf_run.add_argument("--suite", action="append", dest="suites",
-                          metavar="NAME", default=None,
-                          help="run only this suite (repeatable)")
-    perf_run.add_argument("--out-dir", default=None, metavar="DIR",
-                          help="artifact directory "
-                               "(default benchmarks/results)")
-    perf_cmp = perf_sub.add_parser(
-        "compare", help="compare a run against the committed baseline")
-    perf_cmp.add_argument("--baseline", default=None, metavar="DIR",
-                          help="baseline artifacts "
-                               "(default benchmarks/baselines)")
-    perf_cmp.add_argument("--current", default=None, metavar="DIR",
-                          help="fresh artifacts (default benchmarks/results)")
-    perf_cmp.add_argument("--threshold", type=float, default=0.25,
-                          help="allowed slowdown fraction before failing "
-                               "(default 0.25 = +25%%)")
-    perf_cmp.add_argument("--suite", action="append", dest="suites",
-                          metavar="NAME", default=None,
-                          help="compare only this suite (repeatable)")
-
     fuzz_p = sub.add_parser(
         "fuzz", help="property-based scenario fuzzing with invariants armed")
     fuzz_sub = fuzz_p.add_subparsers(dest="fuzz_command", required=True)
@@ -443,14 +410,18 @@ def cmd_run(args) -> int:
         for kind, faults in (("crash", args.crash), ("depart", args.depart))
         for t, idxs in faults or ()
     )
-    spec = ScenarioSpec(
-        name=f"run-{args.app}-{args.scheme}", duration_s=args.duration,
-        warmup_s=args.warmup, n_regions=args.regions,
-        phones_per_region=args.phones, idle_per_region=args.idle,
-        checkpoint_period_s=args.period, events=events,
-        matrix=MatrixSpec(apps=(args.app,), schemes=(args.scheme,),
-                          seeds=(args.seed,)),
-    )
+    try:
+        spec = ScenarioSpec(
+            name=f"run-{args.app}-{args.scheme}", duration_s=args.duration,
+            warmup_s=args.warmup, n_regions=args.regions,
+            phones_per_region=args.phones, idle_per_region=args.idle,
+            checkpoint_period_s=args.period, events=events,
+            matrix=MatrixSpec(apps=(args.app,), schemes=(args.scheme,),
+                              seeds=(args.seed,)),
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     out = run_case(spec, args.app, args.scheme, args.seed)
     r = out.report
     print(f"app={args.app} scheme={args.scheme} "
@@ -968,21 +939,6 @@ def cmd_report(args) -> int:
     return 0
 
 
-def cmd_perf(args) -> int:
-    from repro.perf import cli as perf_cli
-
-    if args.perf_command == "run":
-        return perf_cli.cmd_perf_run(
-            out_dir=args.out_dir or perf_cli.DEFAULT_RESULTS_DIR,
-            suites=args.suites, quick=args.quick,
-        )
-    return perf_cli.cmd_perf_compare(
-        baseline_dir=args.baseline or perf_cli.DEFAULT_BASELINE_DIR,
-        current_dir=args.current or perf_cli.DEFAULT_RESULTS_DIR,
-        threshold=args.threshold, suites=args.suites,
-    )
-
-
 def cmd_fuzz(args) -> int:
     import os
 
@@ -1108,7 +1064,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     return {"run": cmd_run, "bench": cmd_bench, "scenario": cmd_scenario,
             "watch": cmd_watch, "report": cmd_report, "app": cmd_app,
-            "perf": cmd_perf, "fuzz": cmd_fuzz, "fabric": cmd_fabric,
+            "fuzz": cmd_fuzz, "fabric": cmd_fabric,
             "lint": cmd_lint, "info": cmd_info}[args.command](args)
 
 

@@ -166,18 +166,6 @@ class NodeRuntime:
         q.append(payload)
         self._trigger_wake()
 
-    def inject_local(self, op_name: str, tup: StreamTuple) -> None:
-        """Queue a tuple for a hosted operator without a network hop.
-
-        Used by recovery replay: preserved input re-enters at the source.
-        """
-        if not self.alive:
-            return
-        self.deliver(
-            Message(src=EXTERNAL_CHANNEL, dst=self.id, size=0, kind="local",
-                    payload=("region_input", op_name, tup))
-        )
-
     # -- lifecycle -----------------------------------------------------------
     def kill(self, reason: str = "crash") -> None:
         """Terminate the runtime (phone failure or teardown)."""

@@ -50,8 +50,9 @@ from repro.scenarios.spec import ScenarioSpec
 from repro.telemetry.timeline import dumps_timeline
 from repro.util.simlog import get_logger
 
-#: Executor observability (monotone counters; tests and the perf suite
-#: read these — nothing here ever reaches an artifact).
+#: Executor observability (monotone counters; tests and the e2e
+#: benchmark's per-layer split read these — nothing here ever reaches
+#: an artifact).
 stats: Dict[str, int] = {
     "pool_creates": 0,
     "pool_reuses": 0,

@@ -230,6 +230,10 @@ class ScenarioSpec:
             raise ValueError("warmup must be within the run duration")
         if self.n_regions < 1:
             raise ValueError("need at least one region")
+        if self.phones_per_region < 1:
+            raise ValueError("need at least one phone per region")
+        if self.checkpoint_period_s <= 0:
+            raise ValueError("checkpoint period must be positive")
         if len(self.regions) > self.n_regions:
             raise ValueError("more region overrides than regions")
         object.__setattr__(self, "regions", tuple(self.regions))

@@ -67,7 +67,7 @@ class Simulator:
         #: Cancelled-but-still-queued entries (lazy deletion bookkeeping).
         self.dead_entries = 0
         self._active_process: Optional[Process] = None
-        #: Events processed so far (the perf subsystem's events/sec);
+        #: Events processed so far (the work count behind ``sim.events``);
         #: current on every event, so observers sampling mid-run see it.
         self.events_processed = 0
 

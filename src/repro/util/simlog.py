@@ -1,18 +1,8 @@
-"""Virtual-time-aware logging.
-
-A thin wrapper over :mod:`logging` that prefixes each message with the
-simulator clock, so protocol traces read like the paper's walk-throughs
-(``[  12.500s] region-2/node-B checkpoint start``).  Disabled by default;
-tests and examples enable it for debugging.
-"""
+"""The package-wide ``repro`` logger; configure it with :mod:`logging`."""
 
 from __future__ import annotations
 
 import logging
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.sim.core import Simulator
 
 _LOGGER_NAME = "repro"
 
@@ -20,45 +10,3 @@ _LOGGER_NAME = "repro"
 def get_logger() -> logging.Logger:
     """The package-wide logger (``repro``)."""
     return logging.getLogger(_LOGGER_NAME)
-
-
-def enable_console_logging(level: int = logging.INFO) -> None:
-    """Attach a stderr handler to the package logger (idempotent)."""
-    logger = get_logger()
-    if not any(isinstance(h, logging.StreamHandler) for h in logger.handlers):
-        handler = logging.StreamHandler()
-        handler.setFormatter(logging.Formatter("%(message)s"))
-        logger.addHandler(handler)
-    logger.setLevel(level)
-
-
-class SimLogger:
-    """Logger bound to a simulator clock and a component name."""
-
-    __slots__ = ("sim", "component", "_logger")
-
-    def __init__(self, sim: "Simulator", component: str) -> None:
-        self.sim = sim
-        self.component = component
-        self._logger = get_logger()
-
-    def debug(self, msg: str, *args: object) -> None:
-        """Debug-level message stamped with virtual time."""
-        if self._logger.isEnabledFor(logging.DEBUG):
-            self._logger.debug(self._fmt(msg), *args)
-
-    def info(self, msg: str, *args: object) -> None:
-        """Info-level message stamped with virtual time."""
-        if self._logger.isEnabledFor(logging.INFO):
-            self._logger.info(self._fmt(msg), *args)
-
-    def warning(self, msg: str, *args: object) -> None:
-        """Warning-level message stamped with virtual time."""
-        self._logger.warning(self._fmt(msg), *args)
-
-    def child(self, suffix: str) -> "SimLogger":
-        """A logger for a sub-component (``region-2`` -> ``region-2/node-B``)."""
-        return SimLogger(self.sim, f"{self.component}/{suffix}")
-
-    def _fmt(self, msg: str) -> str:
-        return f"[{self.sim.now:10.3f}s] {self.component}: {msg}"

@@ -101,6 +101,23 @@ def test_run_command_exit_code_on_region_loss(capsys):
     assert "STOPPED" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "--duration", "-5"],
+    ["run", "--warmup", "1000", "--duration", "200"],
+    ["run", "--regions", "0"],
+    ["run", "--phones", "0"],
+    ["run", "--period", "0"],
+    ["scenario", "run", "SPEC_FILE"],
+])
+def test_bad_deployment_input_is_a_usage_error(argv, tmp_path, capsys):
+    spec_file = tmp_path / "bad-period.json"
+    spec_file.write_text('{"name": "bad-period", "duration_s": 60, '
+                         '"warmup_s": 10, "checkpoint_period_s": 0}')
+    rc = main([str(spec_file) if a == "SPEC_FILE" else a for a in argv])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_run_command_with_departure(capsys):
     rc = main(["run", "--app", "bcp", "--scheme", "ms-8",
                "--duration", "240", "--warmup", "20", "--period", "60",

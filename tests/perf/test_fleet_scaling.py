@@ -1,8 +1,6 @@
 """Fleet-scale acceptance gates.
 
-These run the ``fleet`` perf-suite case factories directly (not via the
-committed baselines, so they cannot drift) and enforce the fleet store's
-two headline claims:
+These measure the fleet store's two headline claims directly:
 
 * the vectorized battery sweep is >= 10x the per-object loop in
   events/s at n_phones = 10k, and
@@ -21,52 +19,107 @@ traced memory).  Its wall-clock form lives in the perf tier,
 ``tests/perf/wallclock_gates.py``, which tier-1 does not collect.
 """
 
+import dataclasses
+import time
+import tracemalloc
+
+import numpy as np
 import pytest
 
-from repro.perf.suites import SUITES
+from repro.device.fleet import Fleet
+from repro.device.phone import Phone
+from repro.net.topology import Position
+from repro.scenarios import EventDirector, get
+from repro.scenarios.runner import build_system
+from repro.sim.core import Simulator
+
+N_PHONES, TICKS = 10_000, 20
 
 
-def _case(name: str, quick: bool):
-    for case_name, factory in SUITES["fleet"]:
-        if case_name == name:
-            return factory(quick)()
-    raise KeyError(name)
+def _battery_events_per_s(tick, ticks: int) -> float:
+    """Run ``tick`` once per 5 s of simulated time, ``ticks`` times;
+    returns phone-battery updates per wall second."""
+    sim = Simulator()
+
+    def loop():
+        for _ in range(ticks):
+            yield sim.timeout(5.0)
+            tick()
+
+    sim.process(loop())
+    t0 = time.perf_counter()
+    sim.run()
+    return N_PHONES * ticks / (time.perf_counter() - t0)
 
 
 def test_fleet_battery_sweep_is_10x_object_loop():
-    obj = _case("battery-tick/object", quick=False)
-    fleet = _case("battery-tick/fleet", quick=False)
-    assert obj["n_phones"] == fleet["n_phones"] == 10_000
-    ratio = fleet["events_per_s"] / obj["events_per_s"]
+    pos = Position(0.0, 0.0)
+    phones = [Phone(f"p{i}", pos) for i in range(N_PHONES)]
+    fleet = Fleet()
+    for i in range(N_PHONES):
+        fleet.create_phone(f"p{i}", pos)
+    indices = np.arange(N_PHONES, dtype=np.int64)
+
+    def object_tick():  # the Region._battery_loop object path
+        for phone in phones:
+            if phone.alive:
+                phone.battery.drain_idle(5.0)
+                assert not (phone.battery.is_dead or phone.battery.is_critical)
+
+    def fleet_tick():  # one numpy sweep per tick regardless of n
+        dead, critical = fleet.sweep_battery(indices, 5.0)
+        assert not (dead.size or critical.size)
+
+    obj = _battery_events_per_s(object_tick, TICKS)
+    # More ticks so the fleet's wall time stays measurable.
+    vec = _battery_events_per_s(fleet_tick, 100 * TICKS)
+    ratio = vec / obj
     assert ratio >= 10.0, (
         f"fleet sweep only {ratio:.1f}x the object loop "
-        f"({fleet['events_per_s']:.3g} vs {obj['events_per_s']:.3g} ev/s)"
+        f"({vec:.3g} vs {obj:.3g} ev/s)"
     )
+
+
+def _peak_kb(n: int) -> float:
+    """Peak traced memory of one quick paper-fig8 case at ``n`` phones on
+    the fleet backend, build + run.  The scheme is ``base``: ms-8's TR-SMC
+    replicates every checkpoint onto every member, which at 16k members
+    measures checkpoint fan-out, not device-state scaling."""
+    spec = dataclasses.replace(
+        get("paper-fig8").quick(), device_backend="fleet").scaled_phones(n)
+    tracemalloc.start()
+    try:
+        system = build_system(spec, "bcp", "base", 3)
+        director = EventDirector(system, spec)
+        director.install()
+        system.start()
+        director.schedule()
+        system.run(spec.duration_s)
+        return tracemalloc.get_traced_memory()[1] / 1024.0
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture(scope="module")
 def rss_curve():
     # Warm-up: the first tracemalloc window otherwise also counts
     # lazy-import allocations, inflating the smallest-n peak.
-    _case("rss/fleet-n1000", quick=True)
-    return {
-        n: _case(f"rss/fleet-n{n}", quick=False) for n in (1_000, 16_000)
-    }
+    _peak_kb(250)
+    return {n: _peak_kb(n) for n in (1_000, 16_000)}
 
 
 def test_fleet_rss_curve_is_sublinear(rss_curve):
-    small, large = rss_curve[1_000], rss_curve[16_000]
-    assert large["n_phones"] == 16 * small["n_phones"]
     # Sub-linear: 16x the phones must cost well under 16x the bytes,
     # i.e. bytes/phone strictly falls across the span.
-    assert large["bytes_per_phone"] < small["bytes_per_phone"], (
-        f"bytes/phone rose from {small['bytes_per_phone']:.0f} to "
-        f"{large['bytes_per_phone']:.0f} across a 16x population span"
+    small, large = (rss_curve[n] * 1024.0 / n for n in (1_000, 16_000))
+    assert large < small, (
+        f"bytes/phone rose from {small:.0f} to {large:.0f} "
+        f"across a 16x population span"
     )
 
 
 def test_fleet_rss_absolute_ceiling(rss_curve):
-    peak_mb = rss_curve[16_000]["peak_kb"] / 1024.0
+    peak_mb = rss_curve[16_000] / 1024.0
     # Measured ~21 MB for a whole 16k-phone scenario case; 64 MB means
     # something started allocating per phone again.
     assert peak_mb < 64.0, f"16k-phone scenario peaked at {peak_mb:.0f} MB"
