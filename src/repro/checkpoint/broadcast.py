@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional
 import numpy as np
 
 from repro.net.packet import Message
-from repro.net.wifi import Unreachable, WifiCell
+from repro.net.wifi import DRAW_BLOCK_FRAGS, Unreachable, WifiCell
 from repro.util.bitmaps import bitmap_bytes
 from repro.util.units import KB
 
@@ -115,23 +115,31 @@ def _subtree_members(tree: Dict[Any, List[Any]], root: Any) -> List[Any]:
     return out
 
 
-def _columns(have: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """``have[:, cols]`` for sorted block indices ``cols`` — the matrix
-    itself, no gather, when that is every block (a fleet-sized cell
-    misses every block somewhere)."""
-    return have if cols.size == have.shape[1] else have[:, cols]
-
-
-def _merge(have: np.ndarray, rows: Any, cols: np.ndarray, got: np.ndarray) -> None:
-    """``have[rows, cols] |= got``; ``rows`` may be ``slice(None)``."""
-    if cols.size < have.shape[1]:
-        # numpy scatters into columns bit by bit (~6 ns each).  Widening
-        # ``got`` to every block is one gather instead: blocks that were
-        # not sent read a False pad column.
-        src = np.full(have.shape[1], cols.size)
-        src[cols] = np.arange(cols.size)
-        got = np.take(np.pad(got, ((0, 0), (0, 1))), src, axis=1)
-    have[rows] |= got
+def _merge(have: np.ndarray, rows: Any, cols: np.ndarray, got: np.ndarray,
+           n_blocks: int) -> None:
+    """``have[rows]`` |= ``got``, where ``have`` is packed over all
+    ``n_blocks`` blocks and ``got`` over the sorted blocks ``cols`` only;
+    ``rows`` may be ``slice(None)``."""
+    if cols.size == n_blocks:  # a fleet-sized cell misses every block somewhere
+        if isinstance(rows, slice):
+            have |= got
+        else:
+            have[rows] |= got
+        return
+    # Widen ``got`` to every block a row chunk at a time: unpack one bit
+    # past ``cols`` (a zero), gather every block from it (blocks not sent
+    # read that zero) and repack.
+    src = np.full(n_blocks, cols.size)
+    src[cols] = np.arange(cols.size)
+    step = max(1, DRAW_BLOCK_FRAGS // n_blocks)
+    for row in range(0, len(got), step):
+        bits = np.unpackbits(got[row:row + step], axis=1, count=cols.size + 1,
+                             bitorder="little")
+        wide = np.packbits(np.take(bits, src, axis=1), axis=1, bitorder="little")
+        if isinstance(rows, slice):
+            have[row:row + step] |= wide
+        else:
+            have[rows[row:row + step]] |= wide
 
 
 def broadcast_checkpoint(
@@ -146,8 +154,9 @@ def broadcast_checkpoint(
     """Process: push ``total_size`` bytes from ``sender`` to every cell member.
 
     Returns a :class:`BroadcastOutcome`.  The wave's state is one
-    ``(receivers, blocks)`` bool matrix, a row per phone that was in the
-    cell when the wave started: phones that join later are ignored,
+    bit-packed ``(receivers, ceil(blocks / 8))`` ``uint8`` matrix, one bit
+    per block as the bitmap replies carry it, a row per phone that was in
+    the cell when the wave started: phones that join later are ignored,
     receivers that leave mid-broadcast simply stop accumulating blocks
     (their flag in ``complete`` stays False).  Bitmap queries and relay
     transfers remain one simulated exchange per member.
@@ -166,7 +175,12 @@ def broadcast_checkpoint(
     if not members:
         return outcome
     row_of = {m: row for row, m in enumerate(members)}
-    have = np.zeros((len(members), n_blocks), dtype=bool)
+    have = np.zeros((len(members), (n_blocks + 7) // 8), dtype=np.uint8)
+    # A row holding every block, and the set bits of each byte value.
+    full = np.packbits(np.ones(n_blocks, dtype=bool), bitorder="little")
+    ones = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(
+        axis=1, dtype=np.uint8)
+    last_byte, last_bit = divmod(n_blocks - 1, 8)
 
     def live_rows() -> Any:
         """Rows of the members still in the cell (all of them: a slice)."""
@@ -184,18 +198,21 @@ def broadcast_checkpoint(
         )
         # Merge this round's receptions into the cumulative bitmaps.
         if result.receivers == members:
-            _merge(have, slice(None), missing, result.bitmaps)
+            _merge(have, slice(None), missing, result.bitmaps, n_blocks)
         else:
             # Churn since the wave began: map the round's rows onto ours.
             heard = [i for i, m in enumerate(result.receivers) if m in row_of]
             rows = [row_of[result.receivers[i]] for i in heard]
-            _merge(have, rows, missing, result.bitmaps[heard])
-        outcome.udp_bytes += result.bytes_sent
+            _merge(have, rows, missing, result.bitmaps[heard], n_blocks)
+        cost = result.bytes_sent
+        # Nothing below reads the round's bitmaps: do not let the wave
+        # pin them through the bitmap queries.
+        del result
+        outcome.udp_bytes += cost
         if ft_bytes is not None:
             # Counted as the bytes hit the air (a slow broadcast must not
             # hide its in-flight cost from the Fig. 10 counters).
-            ft_bytes.add(result.bytes_sent)
-        cost = result.bytes_sent
+            ft_bytes.add(cost)
 
         # Query every receiver for its bitmap (request + reply).
         reply = bitmap_bytes(n_blocks)
@@ -212,15 +229,18 @@ def broadcast_checkpoint(
                 continue
 
         total_received = (
-            int(np.count_nonzero(have)) * block
-            + int(np.count_nonzero(have[:, -1])) * (last_block_size - block)
+            int(ones[have].sum()) * block
+            + int(np.count_nonzero(have[:, last_byte] & (1 << last_bit)))
+            * (last_block_size - block)
         )
         gain = total_received - prev_total_received
         prev_total_received = total_received
         outcome.rounds.append(RoundStats(len(missing), cost, gain))
 
         # AND the live bitmaps: a block any of them lacks is resent.
-        missing = np.flatnonzero(~have[live_rows()].all(axis=0))
+        held = np.bitwise_and.reduce(have[live_rows()], axis=0)
+        missing = np.flatnonzero(
+            np.unpackbits(held, count=n_blocks, bitorder="little") == 0)
         if missing.size == 0:
             break
         if settings.udp_rounds is None and cost > gain:
@@ -235,21 +255,22 @@ def broadcast_checkpoint(
         relay = [sender] + present
         # The tree over positions in ``relay``: children sit after their
         # parent, so one reverse pass folds every subtree.  need[i] is
-        # the blocks (of ``missing``, the only ones anyone lacks) missing
-        # somewhere under relay[i].
+        # the blocks missing somewhere under relay[i], packed like have
+        # (XOR with ``full`` flips only real blocks: padding stays 0).
         tree = relay_tree(list(range(len(relay))))
-        need = np.zeros((len(relay), missing.size), dtype=bool)
-        np.logical_not(_columns(have[rows], missing), out=need[1:])
+        need = np.zeros((len(relay), have.shape[1]), dtype=np.uint8)
+        np.bitwise_xor(have[rows], full, out=need[1:])
         for i in range(len(relay) - 1, 0, -1):
             need[(i - 1) // 2] |= need[i]
-        has_last = missing[-1] == n_blocks - 1
+        counts = ones[need].sum(axis=1).tolist()
+        needs_last = (need[:, last_byte] & (1 << last_bit)).tolist()
         for parent in _subtree_members(tree, 0):
             for child in tree[parent]:
-                n_need = int(np.count_nonzero(need[child]))
+                n_need = counts[child]
                 if n_need == 0:
                     continue
                 nbytes = n_need * block
-                if has_last and need[child, -1]:
+                if needs_last[child]:
                     nbytes += last_block_size - block
                 msg = Message(src=relay[parent], dst=relay[child], size=nbytes,
                               kind=f"{kind}_tcp", payload=("ckpt_tcp",))
@@ -260,10 +281,10 @@ def broadcast_checkpoint(
                 outcome.tcp_bytes += nbytes
                 if ft_bytes is not None:
                     ft_bytes.add(nbytes)
-                have[row_of[relay[child]]] = True
+                have[row_of[relay[child]]] = full
 
-    for member, full in zip(members, have.all(axis=1).tolist()):
-        outcome.complete[member] = full and wifi.is_member(member)
+    for member, done in zip(members, (have == full).all(axis=1).tolist()):
+        outcome.complete[member] = done and wifi.is_member(member)
     outcome.duration = sim.now - start
     if trace is not None:
         trace.record(

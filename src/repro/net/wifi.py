@@ -85,16 +85,20 @@ DRAW_BLOCK_FRAGS = 1 << 20
 class BroadcastRoundResult:
     """Outcome of one UDP broadcast round (one sender, many receivers).
 
-    The reception bitmaps are one ``(receivers, indices sent)`` matrix:
-    row ``i`` belongs to ``receivers[i]``, column ``j`` to the ``j``-th
-    index sent this round.
+    The reception bitmaps are one bit-packed matrix, one bit per block as
+    on the wire (Fig. 6): row ``i`` belongs to ``receivers[i]``, and bit
+    ``j`` of a row (``np.packbits`` order ``"little"``: byte ``j // 8``,
+    bit ``j % 8``) to the ``j``-th index sent this round.  Bits past
+    ``n_blocks`` in a row's last byte are zero.
     """
 
     #: Cell members the round reached (everyone but the sender), in cell
     #: join order.
     receivers: List[Any]
-    #: bool, shape ``(len(receivers), len(indices))``; True = heard.
+    #: uint8, shape ``(len(receivers), ceil(n_blocks / 8))``; 1 = heard.
     bitmaps: np.ndarray
+    #: Number of indices sent this round: the bits per row.
+    n_blocks: int
     #: Airtime bytes actually transmitted this round (blocks + headers).
     bytes_sent: int
     #: Wall (virtual) duration of the round.
@@ -102,8 +106,10 @@ class BroadcastRoundResult:
 
     @property
     def received(self) -> Dict[Any, np.ndarray]:
-        """Map receiver id -> its bitmap (a row view of :attr:`bitmaps`)."""
-        return dict(zip(self.receivers, self.bitmaps))
+        """Map receiver id -> its bitmap, unpacked to a 1-D bool row."""
+        rows = np.unpackbits(self.bitmaps, axis=1, count=self.n_blocks,
+                             bitorder="little").view(bool)
+        return dict(zip(self.receivers, rows))
 
 
 class WifiCell:
@@ -258,7 +264,7 @@ class WifiCell:
         Models one *phase* of Section III-C: the sender pushes every listed
         block back-to-back; each receiver's loss process independently
         decides which blocks it hears.  Returns a
-        :class:`BroadcastRoundResult` whose bitmap columns are aligned
+        :class:`BroadcastRoundResult` whose packed bitmap bits are aligned
         with ``indices``.
 
         When every member shares one plain Bernoulli loss (the default
@@ -266,7 +272,8 @@ class WifiCell:
         :data:`DRAW_BLOCK_FRAGS` uniforms — the same RNG stream a
         member-by-member loop would consume.  Heterogeneous or stateful
         (Gilbert-Elliott) loss models keep one ``sample()`` call per
-        receiver.
+        receiver.  Either way each row is packed to bits as soon as it is
+        drawn, so the round holds one bit per (receiver, block).
 
         ``last_block_size`` is the wire size of the final block of the
         overall transfer (the paper: "the last block may be less than
@@ -279,7 +286,8 @@ class WifiCell:
             receivers = [m for m in self._members if m != sender]
             return BroadcastRoundResult(
                 receivers=receivers,
-                bitmaps=np.zeros((len(receivers), 0), dtype=bool),
+                bitmaps=np.zeros((len(receivers), 0), dtype=np.uint8),
+                n_blocks=0,
                 bytes_sent=0,
                 duration=0.0,
             )
@@ -287,7 +295,9 @@ class WifiCell:
         sizes = np.full(n, block_size + hdr, dtype=float)
         if last_block_size is not None and last_block_size != block_size:
             # indices are positions in the full transfer; the final block
-            # is the one with the largest index value.
+            # is the one with the largest index value.  Known defect: a
+            # round that omits the final block still charges its largest
+            # index as the short tail (a strict xfail in test_wifi.py).
             last_pos = int(np.argmax(indices))
             sizes[last_pos] = last_block_size + hdr
         total_bytes = float(sizes.sum())
@@ -313,27 +323,31 @@ class WifiCell:
         # No yields below this point, so membership cannot change under
         # us: iterate the live dict instead of copying it every round.
         receivers = [m for m in self._members if m != sender]
-        bitmaps = np.empty((len(receivers), n), dtype=bool)
+        bitmaps = np.empty((len(receivers), (n + 7) // 8), dtype=np.uint8)
         uniform_p = self._uniform_loss_p()
         if uniform_p is not None:
             step = max(1, DRAW_BLOCK_FRAGS // total_frags)
             uniforms = np.empty((min(step, len(receivers)), total_frags))
+            heard = np.empty((len(uniforms), n), dtype=bool)
             for row in range(0, len(receivers), step):
                 block = uniforms[:len(receivers) - row]
                 self._rng.random(out=block)
-                out = bitmaps[row:row + step]
+                out = heard[:len(block)]
                 if fragmented:
                     np.logical_and.reduceat(block >= uniform_p, starts, axis=1, out=out)
                 else:
                     np.greater_equal(block, uniform_p, out=out)
+                bitmaps[row:row + step] = np.packbits(out, axis=1, bitorder="little")
         else:
             for row, member_id in enumerate(receivers):
                 frag_ok = self._loss[member_id].sample(total_frags, self._rng)
-                bitmaps[row] = (np.logical_and.reduceat(frag_ok, starts)
-                                if fragmented else frag_ok)
+                bitmaps[row] = np.packbits(
+                    np.logical_and.reduceat(frag_ok, starts) if fragmented else frag_ok,
+                    bitorder="little")
         return BroadcastRoundResult(
             receivers=receivers,
             bitmaps=bitmaps,
+            n_blocks=n,
             bytes_sent=int(total_bytes),
             duration=self.sim.now - start,
         )

@@ -5,9 +5,13 @@ returns a bitmap with one bit per message (1 = received).  The sender ANDs
 the bitmaps to find messages missed by at least one receiver, and compares
 the byte *gain* of the round against its byte *cost*.
 
-Bitmaps are ``numpy`` boolean arrays; the round arithmetic itself lives
-in :mod:`repro.checkpoint.broadcast` in matrix form.  The helpers below
-size a bitmap reply and count the bytes one bitmap holds.
+The simulator keeps bitmaps as they travel: bit-packed ``uint8`` rows,
+one bit per block (``np.packbits(..., bitorder="little")``), one row per
+receiver.  The round arithmetic on them lives in
+:mod:`repro.checkpoint.broadcast`, and
+:attr:`repro.net.wifi.BroadcastRoundResult.received` unpacks a round to
+one ``numpy`` bool array per receiver.  The helpers below size a bitmap
+reply and count the bytes one such unpacked bitmap holds.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import math
 
 import numpy as np
 
-Bitmap = np.ndarray  # alias: 1-D bool array
+Bitmap = np.ndarray  # alias: 1-D bool array (one unpacked bitmap)
 
 
 def received_bytes(

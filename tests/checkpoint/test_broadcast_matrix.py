@@ -241,10 +241,12 @@ def test_blocked_draw_equals_per_member_draw(monkeypatch, block_size,
     want = reference_round_bitmaps(twin, "tx", n, block_size)
     result = proc.value
     assert result.receivers == list(want)
-    assert result.bitmaps.shape == (130, n) and result.bitmaps.dtype == bool
-    for member, row in zip(result.receivers, result.bitmaps):
+    assert result.bitmaps.shape == (130, n // 8)
+    assert result.bitmaps.dtype == np.uint8
+    for member, packed in zip(result.receivers, result.bitmaps):
+        row = result.received[member]
         assert np.array_equal(row, want[member])
-        assert np.array_equal(result.received[member], row)
+        assert np.array_equal(np.packbits(row, bitorder="little"), packed)
     assert cell._rng.bit_generator.state == twin._rng.bit_generator.state
 
 
@@ -317,9 +319,10 @@ def test_reduceat_runs_once_per_row_block_only_when_fragmented(monkeypatch):
 
 
 def test_fleet_round_peak_memory_is_bitmaps_plus_one_draw_block():
-    """1 500 receivers x 12 000 blocks: the bool matrix (17.2 MiB) and one
-    8 MiB block of uniforms — not the 137 MiB float matrix of a single
-    draw."""
+    """1 500 receivers x 12 000 blocks: the bit-packed matrix (2.1 MiB),
+    one 8 MiB block of uniforms and its 1 MiB of bools — not a byte per
+    (receiver, block) (a 17.2 MiB bool matrix), let alone the 137 MiB
+    float matrix of a single draw."""
     sim, cell = make_cell(1500)
     tracemalloc.start()
     try:
@@ -327,5 +330,21 @@ def test_fleet_round_peak_memory_is_bitmaps_plus_one_draw_block():
         _size, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert result.bitmaps.shape == (1500, 12_000)
-    assert peak < 32 * 2**20, f"round peaked at {peak / 2**20:.1f} MiB"
+    assert result.bitmaps.shape == (1500, 1500)
+    assert peak < 16 * 2**20, f"round peaked at {peak / 2**20:.1f} MiB"
+
+
+def test_fleet_wave_peak_memory_is_one_bit_per_block():
+    """A whole wave of 12 000 blocks to 1 500 receivers — every UDP round,
+    the bitmap queries and the relay tree — holds its reception state as
+    packed bits: a byte per (receiver, block) reads ~66 MiB here."""
+    sim, cell = make_cell(1500)
+    tracemalloc.start()
+    try:
+        proc = sim.process(broadcast_checkpoint(sim, cell, "tx", 12_000 * KB))
+        sim.run()
+        _size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert proc.value.n_blocks == 12_000 and proc.value.all_complete
+    assert peak < 32 * 2**20, f"wave peaked at {peak / 2**20:.1f} MiB"

@@ -252,6 +252,23 @@ def test_broadcast_short_last_block_charged_correctly():
     assert p.value.bytes_sent == 2 * (KB + hdr) + (100 + hdr)
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "udp_broadcast_round charges last_block_size to the highest index "
+    "sent, not to the transfer's final block; fixing it moves simulated "
+    "bytes and the seed-3 digests"))
+def test_retransmission_without_the_final_block_charges_full_blocks():
+    """Blocks 3 and 7 of a 41-block transfer with a 300-byte tail are two
+    full blocks: the short tail is block 40, which this round omits."""
+    sim, cell = make_cell(bandwidth=Mbps(1))
+    cell.join("S", lambda m: None)
+    cell.join("A", lambda m: None)
+    hdr = cell.config.header_bytes
+    p = sim.process(cell.udp_broadcast_round(
+        "S", np.array([3, 7]), KB, last_block_size=300))
+    sim.run()
+    assert p.value.bytes_sent == 2 * (KB + hdr)  # 2104; charged 1380
+
+
 def test_control_exchange_requires_both_members():
     sim, cell = make_cell()
     cell.join("A", lambda m: None)

@@ -8,15 +8,21 @@ These measure the fleet store's two headline claims directly:
   fixed simulator/graph/trace cost amortizes; the fleet arrays add only
   ~100 B/phone), under an absolute ceiling.
 
+* a 16k-phone ms-8 case, whose broadcast waves reach every idle
+  member, stays under a ceiling only reception state packed to one bit
+  per (receiver, block) meets.
+
 Thresholds are deliberately loose versus measured numbers (~41x speed,
-~1.3 KB/phone at 16k) so only a real regression — a fallback to the
-scalar path, an accidental per-phone object resurrection — trips them.
+~1.3 KB/phone at 16k, ~91 MiB for ms-8) so only a real regression — a
+fallback to the scalar path, an accidental per-phone object
+resurrection, a byte per bitmap bit — trips them.
 
 The batched-broadcast claim is held here by nothing that reads a clock:
 ``tests/checkpoint/test_broadcast_matrix.py`` pins it as work counts (RNG
-calls per row block, no ``reduceat`` on single-fragment rounds, peak
-traced memory).  Its wall-clock form lives in the perf tier,
-``tests/perf/wallclock_gates.py``, which tier-1 does not collect.
+calls per row block, no ``reduceat`` on single-fragment rounds) and as
+peak traced memory of one round and of one whole wave.  Its wall-clock
+form lives in the perf tier, ``tests/perf/wallclock_gates.py``, which
+tier-1 does not collect.
 """
 
 import dataclasses
@@ -80,16 +86,17 @@ def test_fleet_battery_sweep_is_10x_object_loop():
     )
 
 
-def _peak_kb(n: int) -> float:
+def _peak_kb(n: int, scheme: str = "base") -> float:
     """Peak traced memory of one quick paper-fig8 case at ``n`` phones on
-    the fleet backend, build + run.  The scheme is ``base``: ms-8's TR-SMC
-    replicates every checkpoint onto every member, which at 16k members
-    measures checkpoint fan-out, not device-state scaling."""
+    the fleet backend, build + run.  The curve runs ``base``, which holds
+    no checkpoint state, so it measures device-state scaling alone; ms-8
+    adds the broadcast waves that replicate every checkpoint onto every
+    idle member, and has its own ceiling below."""
     spec = dataclasses.replace(
         get("paper-fig8").quick(), device_backend="fleet").scaled_phones(n)
     tracemalloc.start()
     try:
-        system = build_system(spec, "bcp", "base", 3)
+        system = build_system(spec, "bcp", scheme, 3)
         director = EventDirector(system, spec)
         director.install()
         system.start()
@@ -123,3 +130,11 @@ def test_fleet_rss_absolute_ceiling(rss_curve):
     # Measured ~21 MB for a whole 16k-phone scenario case; 64 MB means
     # something started allocating per phone again.
     assert peak_mb < 64.0, f"16k-phone scenario peaked at {peak_mb:.0f} MB"
+
+
+def test_fleet_ms8_broadcast_waves_stay_one_bit_per_block():
+    """ms-8 at 16k phones broadcasts each checkpoint to ~16k receivers.
+    With reception state packed to one bit per (receiver, block) the case
+    peaks near 91 MiB traced; a byte per (receiver, block) read 531 MiB."""
+    peak_mb = _peak_kb(16_000, "ms-8") / 1024.0
+    assert peak_mb < 160.0, f"16k-phone ms-8 case peaked at {peak_mb:.0f} MB"
