@@ -22,7 +22,6 @@ from repro.core.app import AppSpec
 from repro.core.graph import QueryGraph
 from repro.core.metrics import MetricsReport, compute_metrics
 from repro.core.operator import (
-    FilterOperator,
     MapOperator,
     Operator,
     OperatorContext,
@@ -32,17 +31,11 @@ from repro.core.operator import (
 from repro.core.placement import Placement
 from repro.core.system import MobiStreamsSystem, SystemConfig
 from repro.core.tuples import StreamTuple, Token
-from repro.core.windows import (
-    SlidingCountWindow,
-    TumblingCountWindow,
-    TumblingTimeWindow,
-)
 
 __version__ = "1.0.0"
 
 __all__ = [
     "AppSpec",
-    "FilterOperator",
     "MapOperator",
     "MetricsReport",
     "MobiStreamsSystem",
@@ -51,12 +44,9 @@ __all__ = [
     "Placement",
     "QueryGraph",
     "SinkOperator",
-    "SlidingCountWindow",
     "SourceOperator",
     "StreamTuple",
     "SystemConfig",
     "Token",
-    "TumblingCountWindow",
-    "TumblingTimeWindow",
     "compute_metrics",
 ]

@@ -53,14 +53,6 @@ def layer_weights(layer: int) -> np.ndarray:
                       size=(FEATURE_DIM, FEATURE_DIM))
 
 
-def apply_layers(features: np.ndarray, layers: Sequence[int]) -> np.ndarray:
-    """Run ``features`` through the given global layers (residual tanh)."""
-    feat = features
-    for layer in layers:
-        feat = feat + np.tanh(layer_weights(layer) @ feat)
-    return feat
-
-
 def weight_blob(layers: Sequence[int], weight_bytes: int) -> np.ndarray:
     """A partition's full-resolution weight tensor, deterministic in its
     layer range and physically sized to its simulated ``weight_bytes``.

@@ -46,7 +46,3 @@ class TrafficSignal:
             return "green", u, self.green_s - u
         u -= self.green_s
         return "yellow", u, self.yellow_s - u
-
-    def color_at(self, t: float) -> str:
-        """Just the phase name at ``t``."""
-        return self.phase_at(t)[0]

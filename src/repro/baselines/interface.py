@@ -93,9 +93,6 @@ class FaultToleranceScheme:
     def on_token(self, node: "NodeRuntime", channel: Any, token: "Token") -> None:
         """A checkpoint token arrived on a node channel (MobiStreams only)."""
 
-    def on_catchup_end(self, node: "NodeRuntime", channel: Any, marker: Any) -> None:
-        """A catch-up-end marker arrived (MobiStreams only)."""
-
     def on_node_control(self, node: "NodeRuntime", channel: Any, payload: Tuple) -> None:
         """Scheme-specific control traffic delivered to a node."""
 

@@ -46,7 +46,6 @@ class ServerDSPSConfig:
     #: Size of the result message returned to phones.
     result_size: int = 512
     master_seed: int = 0
-    trace_enabled: bool = True
 
 
 class _ServerNode:
@@ -112,7 +111,7 @@ class ServerDSPS:
         self.config = config or ServerDSPSConfig()
         self.sim = Simulator()
         self.rng = RngRegistry(self.config.master_seed)
-        self.trace = Trace(enabled=self.config.trace_enabled)
+        self.trace = Trace()
         self.cellular = CellularNetwork(self.sim, self.rng, self.config.cellular, trace=self.trace)
         self.ethernet = EthernetSwitch(self.sim, trace=self.trace)
         self.graph: QueryGraph = app.build_graph()

@@ -144,11 +144,6 @@ class PreservationStore:
         self._current = 0
         self.total_bytes = 0
 
-    @property
-    def current_version(self) -> int:
-        """The segment currently receiving input."""
-        return self._current
-
     def start_segment(self, version: int) -> None:
         """Open the segment for checkpoint ``version`` (the token cut)."""
         if version < self._current:

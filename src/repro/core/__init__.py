@@ -7,7 +7,7 @@ network (Fig. 4).
 
 Layering (bottom-up):
 
-* :mod:`repro.core.tuples` — tuples, tokens, markers.
+* :mod:`repro.core.tuples` — tuples and tokens.
 * :mod:`repro.core.operator` — operator logic + cost models.
 * :mod:`repro.core.graph` — the query network DAG.
 * :mod:`repro.core.placement` — operators -> phones (with replication).
@@ -23,7 +23,6 @@ from repro.core.bootstrap import BootRecord, BootstrapConfig, Bootstrapper
 from repro.core.graph import QueryGraph
 from repro.core.metrics import MetricsReport, compute_metrics
 from repro.core.operator import (
-    FilterOperator,
     MapOperator,
     Operator,
     OperatorContext,
@@ -34,17 +33,11 @@ from repro.core.placement import Placement
 from repro.core.region import Region, RegionConfig
 from repro.core.system import MobiStreamsSystem, SystemConfig
 from repro.core.tuples import StreamTuple, Token
-from repro.core.windows import (
-    SlidingCountWindow,
-    TumblingCountWindow,
-    TumblingTimeWindow,
-)
 
 __all__ = [
     "BootRecord",
     "BootstrapConfig",
     "Bootstrapper",
-    "FilterOperator",
     "MapOperator",
     "MetricsReport",
     "MobiStreamsSystem",
@@ -55,12 +48,9 @@ __all__ = [
     "Region",
     "RegionConfig",
     "SinkOperator",
-    "SlidingCountWindow",
     "SourceOperator",
     "StreamTuple",
     "SystemConfig",
-    "TumblingCountWindow",
-    "TumblingTimeWindow",
     "Token",
     "compute_metrics",
 ]

@@ -58,11 +58,6 @@ class MetricsReport:
     #: diagnostics only — never serialized into artifact rows.
     counters: Dict[str, float] = field(default_factory=dict)
 
-    @property
-    def total_throughput_tps(self) -> float:
-        """Sum of per-region throughputs."""
-        return sum(m.throughput_tps for m in self.per_region.values())
-
     def region(self, name: str) -> RegionMetrics:
         """Metrics of one region by name.
 

@@ -87,16 +87,6 @@ class NodeRuntime:
         """Names of the operators hosted here."""
         return list(self.ops)
 
-    @property
-    def is_source_node(self) -> bool:
-        """Whether any hosted operator is a source."""
-        return any(op.is_source for op in self.ops.values())
-
-    @property
-    def is_sink_node(self) -> bool:
-        """Whether any hosted operator is a sink."""
-        return any(op.is_sink for op in self.ops.values())
-
     def queued_items(self) -> int:
         """Total items waiting across channels (diagnostics)."""
         return sum(len(q) for q in self._queues.values())
@@ -132,11 +122,6 @@ class NodeRuntime:
         """Stop consuming from ``channel`` (token received, waiting for rest)."""
         self._blocked.add(channel)
 
-    def unblock_channel(self, channel: Any) -> None:
-        """Resume consuming from ``channel``."""
-        self._blocked.discard(channel)
-        self._trigger_wake()
-
     def unblock_all(self) -> None:
         """Resume all channels (checkpoint snapshot taken)."""
         self._blocked.clear()
@@ -154,7 +139,7 @@ class NodeRuntime:
             return
         payload = msg.payload
         kind = payload[0]
-        if kind in ("tuple", "token", "catchup_end"):
+        if kind in ("tuple", "token"):
             channel = msg.src
         else:
             channel = EXTERNAL_CHANNEL
@@ -224,8 +209,6 @@ class NodeRuntime:
                 yield from self._process_chain(op_name, tup)
         elif kind == "token":
             self.region.scheme.on_token(self, channel, payload[1])
-        elif kind == "catchup_end":
-            self.region.scheme.on_catchup_end(self, channel, payload[1])
         elif kind == "source_copy":
             _, op_name, tup = payload
             yield from self._ingest(op_name, tup, forward_copies=False)

@@ -12,10 +12,9 @@ its input data" (Section II-A).  Operators here carry three things:
    ``snapshot()``/``restore()``; the fault-tolerance schemes move these
    bytes around.
 
-The library types (:class:`MapOperator`, :class:`FilterOperator`,
-:class:`SourceOperator`, :class:`SinkOperator`) cover most application
-needs; BCP and SignalGuru subclass :class:`Operator` directly where they
-keep model state.
+The library types (:class:`MapOperator`, :class:`SourceOperator`,
+:class:`SinkOperator`) cover most application needs; BCP and SignalGuru
+subclass :class:`Operator` directly where they keep model state.
 """
 
 from __future__ import annotations
@@ -140,23 +139,6 @@ class MapOperator(Operator):
         else:
             size = self._out_size
         return [tup.derive(out_payload, size)]
-
-    def cost(self, tup: StreamTuple) -> float:
-        return self._cost(tup) if callable(self._cost) else self._cost
-
-
-class FilterOperator(Operator):
-    """Stateless predicate operator: passes tuples whose payload matches."""
-
-    def __init__(self, name: str, predicate: Callable[[Any], bool], cost_s: Any = 1e-4) -> None:
-        super().__init__(name)
-        self._predicate = predicate
-        self._cost = cost_s
-
-    def process(self, tup: StreamTuple, ctx: OperatorContext) -> List[StreamTuple]:
-        if self._predicate(tup.payload):
-            return [tup.derive(tup.payload, tup.size)]
-        return []
 
     def cost(self, tup: StreamTuple) -> float:
         return self._cost(tup) if callable(self._cost) else self._cost

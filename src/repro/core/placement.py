@@ -61,14 +61,6 @@ class Placement:
                     break
         return out
 
-    def chain_of(self, op_name: str, node_id: str) -> int:
-        """Which chain of ``op_name`` lives on ``node_id``."""
-        nodes = self._assignment[op_name]
-        try:
-            return nodes.index(node_id)
-        except ValueError:
-            raise PlacementError(f"{op_name!r} is not hosted on {node_id!r}") from None
-
     def used_nodes(self) -> List[str]:
         """All node ids hosting at least one operator copy."""
         seen: Dict[str, None] = {}

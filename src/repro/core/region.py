@@ -484,12 +484,6 @@ class Region:
             {self.placement.node_for(op, chain) for op in self.graph.source_names()}
         )
 
-    def sink_node_ids(self, chain: int = 0) -> List[str]:
-        """Nodes hosting sink operators."""
-        return sorted(
-            {self.placement.node_for(op, chain) for op in self.graph.sink_names()}
-        )
-
     # -- sink handling ----------------------------------------------------------
     def on_sink_output(self, node: NodeRuntime, op_name: str, tup: StreamTuple) -> None:
         """Handle a result produced by a sink operator."""
@@ -622,10 +616,6 @@ class Region:
         if self.controller is not None:
             self.controller.on_departure_report(self, phone_id)
 
-    def alive_phone_ids(self) -> List[str]:
-        """Phones still alive and present in the region."""
-        return [pid for pid, p in self.phones.items() if p.alive and self.wifi.is_member(pid)]
-
     def pick_replacements(self, gone: List[str]) -> Optional[Dict[str, str]]:
         """Choose healthy phones to take over ``gone``'s operators.
 
@@ -697,10 +687,6 @@ class Region:
         phone.alive = True
         self._join_networks(phone_id)
         self.trace.record(self.sim.now, "phone_rebooted", region=self.name, phone=phone_id)
-
-    def node_state_sizes(self) -> Dict[str, int]:
-        """Current state size of every node (checkpoint sizing)."""
-        return {nid: n.state_size() for nid, n in self.nodes.items()}
 
     # -- liveness probes (Section III-D) ----------------------------------------
     def _heartbeat_loop(self):

@@ -75,7 +75,6 @@ class SystemConfig:
     #: Per-region heterogeneity: entry r overrides region r; a short list
     #: (or ``None`` entries) leaves the remaining regions at the defaults.
     region_builds: Optional[List[Optional[RegionBuildSpec]]] = None
-    trace_enabled: bool = True
     #: Device-state storage: "object" (one Phone/Battery per phone, the
     #: default and the parity oracle) or "fleet" (numpy struct-of-arrays
     #: behind duck-typed proxies — the large-n backend).
@@ -119,7 +118,7 @@ class MobiStreamsSystem:
             Fleet() if config.device_backend == "fleet" else None
         )
         self.rng = RngRegistry(config.master_seed)
-        self.trace = Trace(enabled=config.trace_enabled)
+        self.trace = Trace()
         self.cellular = CellularNetwork(self.sim, self.rng, config.cellular, trace=self.trace)
         self.controller = Controller(self.sim, self.cellular, self.trace, config.controller)
         self.injector = FailureInjector(self.sim, trace=self.trace)
@@ -371,11 +370,6 @@ class MobiStreamsSystem:
     def region(self, index: int) -> Region:
         """Region by cascade position."""
         return self.regions[index]
-
-    def compute_phone_ids(self, region_index: int = 0) -> List[str]:
-        """The computing phones of one region, in id order."""
-        name = f"region{region_index}"
-        return [f"{name}.p{i}" for i in range(self._compute_counts[region_index])]
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<MobiStreamsSystem regions={len(self.regions)} t={self.sim.now:.1f}s>"

@@ -1,4 +1,4 @@
-"""Stream tuples, checkpoint tokens, and in-band markers.
+"""Stream tuples and checkpoint tokens.
 
 A *tuple* is the unit of data between operators (Section II-A).  A
 *token* (Section III-B) is a tiny piece of control data embedded in the
@@ -15,7 +15,6 @@ indirection were measurable across a full sweep.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Any, Optional
 
 _tuple_seq = itertools.count()
@@ -105,18 +104,6 @@ class StreamTuple:
             replay=self.replay,
         )
 
-    def as_replay(self) -> "StreamTuple":
-        """A copy flagged as catch-up replay."""
-        return StreamTuple(
-            payload=self.payload,
-            size=self.size,
-            entered_at=self.entered_at,
-            source_seq=self.source_seq,
-            lineage=self.lineage,
-            replay=True,
-            emit_key=self.emit_key,
-        )
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         r = " replay" if self.replay else ""
         return f"<Tuple #{self.uid} seq={self.source_seq} {self.size}B{r}>"
@@ -161,21 +148,5 @@ class Token:
         # restore would trip the immutability __setattr__.
         return (Token, (self.version, self.origin, self.size))
 
-    def forwarded_by(self, node_id: str) -> "Token":
-        """The token as re-emitted by an intermediate node."""
-        return Token(version=self.version, origin=node_id, size=self.size)
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Token(version={self.version!r}, origin={self.origin!r}, size={self.size!r})"
-
-
-@dataclass(frozen=True)
-class CatchupEnd:
-    """In-band marker: the source finished replaying preserved input.
-
-    When a sink has seen this marker on every upstream channel it resumes
-    publishing results (Section III-D's catch-up ends).
-    """
-
-    recovery_id: int
-    size: int = 32

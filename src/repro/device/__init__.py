@@ -14,7 +14,6 @@ package models:
 from repro.device.battery import Battery, BatteryConfig
 from repro.device.fleet import Fleet, FleetBattery, FleetPhone
 from repro.device.failures import (
-    DepartureEvent,
     FailureEvent,
     FailureInjector,
     PhoneFailure,
@@ -30,7 +29,6 @@ from repro.device.storage import FlashStorage
 __all__ = [
     "Battery",
     "BatteryConfig",
-    "DepartureEvent",
     "FailureEvent",
     "FailureInjector",
     "Fleet",

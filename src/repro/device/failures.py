@@ -1,4 +1,4 @@
-"""Failure injection: crashes and departures on schedules.
+"""Failure injection: crashes on schedules.
 
 The paper's central fault-model claim (Section I): on a smartphone
 platform, *burst* failures — several phones at once — are common, unlike
@@ -6,8 +6,6 @@ the single-node failures prior server DSPS schemes assume.  The injector
 produces exactly those scenarios:
 
 * ``crash_at(t, ids)`` — n phones die simultaneously (Fig. 9 failures).
-* ``periodic_crashes`` — one phone fails every checkpoint period
-  (Table I scenario 3).
 * Battery-driven organic failures are modelled by the phones themselves;
   the injector is for *controlled* experiments.
 
@@ -43,14 +41,6 @@ class FailureEvent:
     time: float
     phone_id: str
     reason: str = "injected"
-
-
-@dataclass(frozen=True)
-class DepartureEvent:
-    """A scheduled departure of one phone."""
-
-    time: float
-    phone_id: str
 
 
 class FailureInjector:
@@ -103,15 +93,6 @@ class FailureInjector:
             FailureEvent(start + i * interval, pid, reason)
             for i, pid in enumerate(phone_ids)
         ])
-
-    def periodic_crashes(
-        self, period: float, phone_ids: Sequence[str], reason: str = "injected"
-    ) -> None:
-        """One phone from ``phone_ids`` crashes every ``period`` seconds."""
-        for i, pid in enumerate(phone_ids):
-            t = period * (i + 1)
-            self.sim.call_at(t, lambda p=pid: self._fire(p, reason))
-            self.injected.append(FailureEvent(t, pid, reason))
 
     def _fire(self, phone_id: str, reason: str) -> None:
         if self._liveness is not None and not self._liveness(phone_id):

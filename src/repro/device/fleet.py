@@ -139,20 +139,7 @@ class Fleet:
         """Proxy for a fleet index."""
         return self._phones[index]
 
-    def index_of(self, phone_id: str) -> int:
-        """Fleet index for a phone id."""
-        return self._index[phone_id]
-
     # -- batch ops -------------------------------------------------------
-    def drain_idle_tick(self, indices: np.ndarray, seconds: float) -> None:
-        """Vectorized ``battery.drain_idle(seconds)`` over ``indices``.
-
-        Dead phones are left untouched (the object-backend loop skips
-        them before draining).
-        """
-        sel = indices[self.alive[indices]]
-        rem = self.remaining_j
-        rem[sel] = np.maximum(rem[sel] - self.idle_w[sel] * seconds, 0.0)
 
     def sweep_battery(
         self, indices: np.ndarray, seconds: float
@@ -174,19 +161,6 @@ class Fleet:
         # clamp is moot, and dead ones are excluded by ~dead.
         critical = ~dead & (drained / self.capacity_j[sel] <= self.critical_fraction[sel])
         return sel[dead], sel[critical]
-
-    def sample_departure_times(
-        self, n: int, mean_interval_s: float, start_at: float, seed: int
-    ) -> np.ndarray:
-        """Vectorized Poisson-churn departure schedule for ``n`` phones.
-
-        Stream-identical to drawing ``n`` exponentials one at a time and
-        accumulating in Python floats (the cumsum is seeded with
-        ``start_at`` so the additions associate in the same order).
-        """
-        gen = np.random.default_rng(seed)
-        gaps = gen.exponential(mean_interval_s, n)
-        return np.cumsum(np.concatenate(([float(start_at)], gaps)))[1:]
 
 
 class FleetBattery:
@@ -300,16 +274,6 @@ class FleetPhone:
         if reference_seconds < 0:
             raise ValueError("work must be >= 0")
         return reference_seconds / self.config.cpu_speed
-
-    # -- GPS -------------------------------------------------------------
-    def gps_reading(self, rng) -> Position:
-        gen = rng.stream(f"gps.{self.id}")
-        noise = self.config.gps_noise_m
-        pos = self.position
-        return Position(
-            pos.x + float(gen.normal(0.0, noise)),
-            pos.y + float(gen.normal(0.0, noise)),
-        )
 
     # -- lifecycle -------------------------------------------------------
     def crash(self) -> None:

@@ -1,4 +1,4 @@
-"""The smartphone: CPU, battery, flash, GPS, and liveness.
+"""The smartphone: CPU, battery, flash, and liveness.
 
 A :class:`Phone` is a passive container of device state; the DSPS node
 runtime (:mod:`repro.core.node`) drives it.  CPU work is expressed in
@@ -10,15 +10,12 @@ runtime (:mod:`repro.core.node`) drives it.  CPU work is expressed in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 from repro.device.battery import Battery, BatteryConfig
 from repro.device.storage import FlashStorage
 from repro.net.topology import Position
 from repro.util.units import GB
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.sim.rng import RngRegistry
 
 
 @dataclass
@@ -33,9 +30,6 @@ class PhoneConfig:
     storage_bytes: int = 16 * GB
     #: Battery parameters.
     battery: BatteryConfig = field(default_factory=BatteryConfig)
-    #: Std-dev of GPS position noise in metres (Section III-E notes GPS
-    #: inaccuracy can misreport whether a phone left its region).
-    gps_noise_m: float = 3.0
 
     def __post_init__(self) -> None:
         if self.cpu_speed <= 0:
@@ -69,16 +63,6 @@ class Phone:
         if reference_seconds < 0:
             raise ValueError("work must be >= 0")
         return reference_seconds / self.config.cpu_speed
-
-    # -- GPS ----------------------------------------------------------------
-    def gps_reading(self, rng: "RngRegistry") -> Position:
-        """Noisy position estimate, as reported to the controller."""
-        gen = rng.stream(f"gps.{self.id}")
-        noise = self.config.gps_noise_m
-        return Position(
-            self.position.x + float(gen.normal(0.0, noise)),
-            self.position.y + float(gen.normal(0.0, noise)),
-        )
 
     # -- lifecycle ------------------------------------------------------------
     def crash(self) -> None:

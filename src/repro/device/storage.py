@@ -55,14 +55,6 @@ class FlashStorage:
         """Payload stored under ``key`` (KeyError if absent)."""
         return self._objects[key][1]
 
-    def size_of(self, key: Any) -> int:
-        """Size in bytes of the object under ``key``."""
-        return self._objects[key][0]
-
-    def contains(self, key: Any) -> bool:
-        """Whether ``key`` is present."""
-        return key in self._objects
-
     def delete(self, key: Any) -> None:
         """Remove ``key`` (silently idempotent)."""
         old = self._objects.pop(key, None)

@@ -16,7 +16,6 @@ Stdlib only: no dependency beyond what the simulator already needs.
 from repro.fabric.coordinator import (
     FabricCoordinator,
     FabricError,
-    run_fabric_sweep,
 )
 from repro.fabric.ledger import CaseLedger
 from repro.fabric.protocol import (
@@ -38,7 +37,6 @@ __all__ = [
     "parse_address",
     "recv_frame",
     "run_chaos",
-    "run_fabric_sweep",
     "send_frame",
 ]
 

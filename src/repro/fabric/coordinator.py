@@ -474,18 +474,3 @@ class FabricCoordinator:
                 pass
         if self._accept_thread is not None:
             self._accept_thread.join(timeout=1.0)
-
-
-def run_fabric_sweep(
-    spec: ScenarioSpec,
-    bind: Tuple[str, int],
-    *,
-    out_path: Optional[str] = None,
-    compact: Optional[bool] = None,
-    timelines_dir: Optional[str] = None,
-    **options: Any,
-) -> Dict[str, Any]:
-    """One-shot convenience: construct a coordinator and run the sweep."""
-    coordinator = FabricCoordinator(spec, bind, **options)
-    return coordinator.run(
-        out_path=out_path, compact=compact, timelines_dir=timelines_dir)

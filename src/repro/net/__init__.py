@@ -20,8 +20,8 @@ from repro.net.cellular import CellularConfig, CellularNetwork
 from repro.net.ethernet import EthernetSwitch
 from repro.net.fairshare import FairSharePipe, max_min_fair_rates
 from repro.net.loss import BernoulliLoss, GilbertElliottLoss, LossModel, NoLoss
-from repro.net.packet import Message, fragment_count
-from repro.net.topology import Position, RegionArea, distance, in_range
+from repro.net.packet import Message
+from repro.net.topology import Position, RegionArea, distance
 from repro.net.wifi import BroadcastRoundResult, WifiCell, WifiConfig
 
 __all__ = [
@@ -40,7 +40,5 @@ __all__ = [
     "WifiCell",
     "WifiConfig",
     "distance",
-    "fragment_count",
-    "in_range",
     "max_min_fair_rates",
 ]

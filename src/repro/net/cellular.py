@@ -116,12 +116,6 @@ class CellularNetwork:
         """(uplink_bps, downlink_bps) caps assigned to a phone."""
         return self._phone_rates[phone_id]
 
-    def set_phone_rates(self, phone_id: Any, uplink_bps: float, downlink_bps: float) -> None:
-        """Override a phone's link caps (used to pin experiment configs)."""
-        if uplink_bps <= 0 or downlink_bps <= 0:
-            raise ValueError("rates must be positive")
-        self._phone_rates[phone_id] = (float(uplink_bps), float(downlink_bps))
-
     # -- transport ----------------------------------------------------------
     def send(self, msg: Message):
         """Process: reliably deliver ``msg.src`` → ``msg.dst``.

@@ -45,10 +45,6 @@ class EthernetSwitch:
         """Plug a server into the switch."""
         self._ports[endpoint_id] = deliver
 
-    def detach(self, endpoint_id: Any) -> None:
-        """Unplug a server."""
-        self._ports.pop(endpoint_id, None)
-
     def send(self, msg: Message):
         """Process: reliable delivery through the fabric."""
         if msg.dst not in self._ports:

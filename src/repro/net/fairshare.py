@@ -89,11 +89,6 @@ class FairSharePipe:
         self._timer_epoch = 0  # invalidates stale completion timers
 
     # -- public ----------------------------------------------------------
-    @property
-    def active_flows(self) -> int:
-        """Number of in-flight transfers."""
-        return len(self._flows)
-
     def transfer(self, size_bytes: float, cap_bps: Optional[float] = None) -> Event:
         """Start a transfer; returns the event fired at completion.
 
@@ -119,13 +114,6 @@ class FairSharePipe:
         self._flows[flow.flow_id] = flow
         self._reallocate()
         return ev
-
-    def current_rate(self, capacity_check: bool = True) -> float:
-        """Aggregate bits/s currently flowing (diagnostics)."""
-        total = sum(f.rate for f in self._flows.values())
-        if capacity_check:
-            assert total <= self.capacity_bps * (1 + 1e-9)
-        return total
 
     # -- engine ----------------------------------------------------------
     def _accrue(self) -> None:

@@ -8,7 +8,6 @@ message affects timing; the ``payload`` rides along for protocol logic.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
@@ -56,32 +55,8 @@ class Message:
         if self.size < 0:
             raise ValueError(f"message size must be >= 0, got {self.size}")
 
-    @property
-    def is_broadcast(self) -> bool:
-        """Whether this message targets every reachable node."""
-        return self.dst is None
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"<Message #{self.msg_id} {self.kind} {self.src}->"
             f"{self.dst if self.dst is not None else '*'} {self.size}B>"
         )
-
-
-def fragment_count(size: int, mtu: int = MTU) -> int:
-    """Number of link-layer fragments for a datagram of ``size`` bytes.
-
-    A datagram is delivered only if *all* its fragments arrive; the
-    per-datagram loss probability therefore grows with size, which is why
-    the protocol keeps checkpoint blocks at 1 KB (Section III-C).
-    """
-    if size <= 0:
-        return 1
-    return max(1, math.ceil(size / mtu))
-
-
-def datagram_delivery_probability(size: int, fragment_loss: float, mtu: int = MTU) -> float:
-    """P(datagram delivered) given an i.i.d. per-fragment loss rate."""
-    if not 0.0 <= fragment_loss <= 1.0:
-        raise ValueError("fragment_loss must be in [0, 1]")
-    return (1.0 - fragment_loss) ** fragment_count(size, mtu)

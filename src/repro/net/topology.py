@@ -1,4 +1,4 @@
-"""Planar geometry: positions, ranges, and region areas.
+"""Planar geometry: positions, distances and region areas.
 
 A *region* (Section III) is a small area — a bus stop, an intersection —
 within which phones reach each other over ad-hoc WiFi.  We model regions
@@ -10,11 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Tuple
-
-#: Default ad-hoc WiFi radio range in metres ("20∼100m" in the paper; a
-#: region is "usually a circular area with a diameter less than 20 meters").
-DEFAULT_WIFI_RANGE_M = 50.0
 
 
 @dataclass(frozen=True)
@@ -24,33 +19,10 @@ class Position:
     x: float
     y: float
 
-    def moved(self, dx: float, dy: float) -> "Position":
-        """A new position offset by (dx, dy)."""
-        return Position(self.x + dx, self.y + dy)
-
-    def towards(self, other: "Position", dist: float) -> "Position":
-        """A new position ``dist`` metres from here towards ``other``."""
-        d = distance(self, other)
-        if d == 0:
-            return self
-        f = dist / d
-        return Position(self.x + (other.x - self.x) * f, self.y + (other.y - self.y) * f)
-
-    def as_tuple(self) -> Tuple[float, float]:
-        """(x, y)."""
-        return (self.x, self.y)
-
 
 def distance(a: Position, b: Position) -> float:
     """Euclidean distance in metres."""
     return math.hypot(a.x - b.x, a.y - b.y)
-
-
-def in_range(a: Position, b: Position, radio_range: float = DEFAULT_WIFI_RANGE_M) -> bool:
-    """Whether two radios can hear each other."""
-    if radio_range < 0:
-        raise ValueError("radio range must be >= 0")
-    return distance(a, b) <= radio_range
 
 
 @dataclass(frozen=True)
@@ -72,15 +44,6 @@ class RegionArea:
         """Uniform random point inside the region (for phone placement)."""
         r = self.radius * math.sqrt(rng.random())
         theta = rng.random() * 2 * math.pi
-        return Position(
-            self.center.x + r * math.cos(theta),
-            self.center.y + r * math.sin(theta),
-        )
-
-    def exit_point(self, rng) -> Position:
-        """A point just outside the region (departure destination)."""
-        theta = rng.random() * 2 * math.pi
-        r = self.radius * 2.5
         return Position(
             self.center.x + r * math.cos(theta),
             self.center.y + r * math.sin(theta),

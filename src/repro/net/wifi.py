@@ -155,11 +155,6 @@ class WifiCell:
         """
         return iter(self._members)
 
-    @property
-    def member_count(self) -> int:
-        """Number of phones currently in the cell."""
-        return len(self._members)
-
     def join(self, member_id: Any, deliver: DeliverFn) -> None:
         """Add a phone to the cell with its delivery callback.
 

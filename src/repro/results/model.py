@@ -209,11 +209,6 @@ class CaseResult:
         return self.first_region.p95_s
 
     @property
-    def e2e_latency_s(self) -> float:
-        """End-to-end latency (s); ``nan`` when the row holds null."""
-        return _none_to_nan(self.end_to_end_latency_s)
-
-    @property
     def total_output_tuples(self) -> int:
         """Output tuples summed across every region."""
         return sum(r.output_tuples for r in self.regions)

@@ -86,16 +86,6 @@ class Aggregate:
     n: int
     ci_half: Optional[float] = None
 
-    @property
-    def low(self) -> Optional[float]:
-        """Lower CI bound (None when no CI was requested)."""
-        return None if self.ci_half is None else self.value - self.ci_half
-
-    @property
-    def high(self) -> Optional[float]:
-        """Upper CI bound (None when no CI was requested)."""
-        return None if self.ci_half is None else self.value + self.ci_half
-
     def __float__(self) -> float:
         return float(self.value)
 

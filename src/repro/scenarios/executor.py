@@ -11,7 +11,7 @@ pool build time, through the initializer — not pickled into every case
 payload — so a re-run, a resumed run, or a back-to-back sweep of the
 same spec reuses live workers.  The start method is forkserver-aware:
 ``fork`` where the platform offers it (cheapest, inherits warm caches),
-else ``forkserver``, else ``spawn``; override with ``REPRO_MP_START``.
+else ``forkserver``, else ``spawn``.
 
 **Ordered streaming.**  Cases run through ``imap`` (order-preserving,
 one case per task), and every finished row is appended
@@ -197,17 +197,9 @@ def _start_method() -> str:
     available, yet forking after the ObjC/Accelerate runtime has
     spawned threads (numpy does) can abort workers — the reason CPython
     made ``spawn`` the darwin default.  Elsewhere ``forkserver`` is the
-    safe fast option and ``spawn`` always exists.  Override with
-    ``REPRO_MP_START``.
+    safe fast option and ``spawn`` always exists.
     """
-    override = os.environ.get("REPRO_MP_START")
     available = multiprocessing.get_all_start_methods()
-    if override:
-        if override not in available:
-            raise ValueError(
-                f"REPRO_MP_START={override!r} not in {available}"
-            )
-        return override
     preferred = ("fork", "forkserver", "spawn") if sys.platform.startswith(
         "linux") else ("forkserver", "spawn")
     for method in preferred:
@@ -307,14 +299,12 @@ class CaseCache:
         self.root = root
 
     def path(self, digest: str, app_key: str, scheme: str, seed: int) -> str:
-        raw = f"{app_key}__{scheme}__{seed}"
-        tag = hashlib.blake2b(raw.encode("utf-8"), digest_size=6).hexdigest()
-        name = f"{_UNSAFE.sub('_', raw)}-{tag}.json"
-        return os.path.join(self.root, digest, name)
+        return os.path.join(
+            self.root, digest, _case_stem(app_key, scheme, seed) + ".json")
 
     def timeline_path(self, digest: str, app_key: str, scheme: str, seed: int) -> str:
-        base = self.path(digest, app_key, scheme, seed)
-        return base[:-len(".json")] + ".timeline.json"
+        return os.path.join(
+            self.root, digest, _case_stem(app_key, scheme, seed) + ".timeline.json")
 
     #: Paths already warned about, so one corrupt entry logs once per
     #: process — not once per resume attempt.
@@ -341,11 +331,7 @@ class CaseCache:
 
     @staticmethod
     def _write(path: str, data: Dict) -> None:
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        tmp = path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(data, fh, sort_keys=True, separators=(",", ":"))
-        os.replace(tmp, path)
+        _atomic_write(path, json.dumps(data, sort_keys=True, separators=(",", ":")))
 
     def get(self, digest: str, app_key: str, scheme: str, seed: int) -> Optional[Dict]:
         return self._read(self.path(digest, app_key, scheme, seed))
@@ -364,12 +350,22 @@ class CaseCache:
         self._write(self.timeline_path(digest, app_key, scheme, seed), timeline)
 
 
-def timeline_filename(app_key: str, scheme: str, seed: int) -> str:
-    """Deterministic per-case timeline file name (CaseCache sanitation
-    plus collision tag, with the ``.timeline.json`` suffix)."""
+def _case_stem(app_key: str, scheme: str, seed: int) -> str:
+    """A case's file stem: the sanitized key plus a short hash of the
+    unsanitized key, so two cases that sanitize alike never collide."""
     raw = f"{app_key}__{scheme}__{seed}"
     tag = hashlib.blake2b(raw.encode("utf-8"), digest_size=6).hexdigest()
-    return f"{_UNSAFE.sub('_', raw)}-{tag}.timeline.json"
+    return f"{_UNSAFE.sub('_', raw)}-{tag}"
+
+
+def _atomic_write(path: str, text: str) -> None:
+    """Write ``text`` to ``path`` through a temp file and ``os.replace``,
+    so a killed sweep never leaves a torn file behind."""
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    tmp = path + ".tmp"
+    with open(tmp, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    os.replace(tmp, path)
 
 
 def _write_timeline_file(
@@ -377,12 +373,8 @@ def _write_timeline_file(
 ) -> str:
     """Persist one case timeline under ``dirname`` (atomic, canonical
     bytes — serial/parallel/resumed sweeps write identical files)."""
-    os.makedirs(dirname, exist_ok=True)
-    path = os.path.join(dirname, timeline_filename(app_key, scheme, seed))
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(dumps_timeline(timeline) + "\n")
-    os.replace(tmp, path)
+    path = os.path.join(dirname, _case_stem(app_key, scheme, seed) + ".timeline.json")
+    _atomic_write(path, dumps_timeline(timeline) + "\n")
     return path
 
 

@@ -20,7 +20,7 @@ import gc
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
-from repro.apps.registry import AppRef, AppRefLike, create_app, get_app
+from repro.apps.registry import AppRef, AppRefLike, create_app
 from repro.baselines import (
     ActiveStandby,
     DistributedCheckpoint,
@@ -92,17 +92,6 @@ def scheme_factory(scheme: str, checkpoint_period_s: float = 300.0) -> Callable:
         raise ValueError(
             f"unknown scheme {scheme!r}; known schemes: {known}"
         ) from None
-
-
-def app_factory(app: AppRefLike):
-    """Back-compat shim: a fresh-AppSpec factory for any app ref.
-
-    New code should use :func:`repro.apps.registry.create_app`; this
-    keeps the historical ``app_factory("bcp")()`` call shape working.
-    """
-    ref = AppRef.coerce(app)
-    entry = get_app(ref.name)  # raises ValueError naming the known apps
-    return lambda: entry.create(ref)
 
 
 @dataclass
@@ -251,4 +240,3 @@ def case_to_type(result: CaseResult) -> ArtifactCase:
 def case_to_dict(result: CaseResult) -> Dict[str, Any]:
     """JSON-ready metrics for one case (stable, timestamp-free)."""
     return case_to_type(result).to_dict()
-

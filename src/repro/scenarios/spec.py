@@ -268,10 +268,6 @@ class ScenarioSpec:
         entries that can never fire within the run window."""
         return tuple(ev for ev in self.events if ev.time >= self.duration_s)
 
-    def region_spec(self, index: int) -> RegionSpec:
-        """The effective override for region ``index``."""
-        return self.regions[index] if index < len(self.regions) else RegionSpec()
-
     def scaled(self, factor: float) -> "ScenarioSpec":
         """Time-compressed/stretched copy: durations, event times, and the
         checkpoint period all scale together so the scenario keeps its

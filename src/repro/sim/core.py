@@ -66,7 +66,6 @@ class Simulator:
         self._seq = 0
         #: Cancelled-but-still-queued entries (lazy deletion bookkeeping).
         self.dead_entries = 0
-        self._active_process: Optional[Process] = None
         #: Events processed so far (the work count behind ``sim.events``);
         #: current on every event, so observers sampling mid-run see it.
         self.events_processed = 0
@@ -76,11 +75,6 @@ class Simulator:
     def now(self) -> float:
         """Current virtual time in seconds."""
         return self._now
-
-    @property
-    def active_process(self) -> Optional[Process]:
-        """The process currently executing, if any."""
-        return self._active_process
 
     # -- event factories ---------------------------------------------------
     def event(self) -> Event:
@@ -202,10 +196,6 @@ class Simulator:
         self._queue[:] = live
         heapq.heapify(self._queue)
         self.dead_entries = 0
-
-    def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` if none."""
-        return self._queue[0][0] if self._queue else float("inf")
 
     def step(self) -> None:
         """Process exactly one event; raises :class:`EmptySchedule` if none."""

@@ -91,11 +91,6 @@ class Event:
         """Mark a failed event as handled, suppressing re-raise."""
         self._defused = True
 
-    @property
-    def defused(self) -> bool:
-        """Whether a failure has been marked as handled."""
-        return self._defused
-
     # -- triggering ------------------------------------------------------
     def succeed(self, value: Any = None) -> "Event":
         """Trigger the event successfully with ``value``.

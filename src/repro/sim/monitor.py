@@ -116,17 +116,9 @@ class Counter:
 
 
 class Trace:
-    """Append-only trace plus a namespace of counters.
+    """Append-only trace plus a namespace of counters."""
 
-    Parameters
-    ----------
-    enabled:
-        When False, :meth:`record` is a no-op (counters still work);
-        used to strip tracing overhead out of large benchmark sweeps.
-    """
-
-    def __init__(self, enabled: bool = True) -> None:
-        self.enabled = enabled
+    def __init__(self) -> None:
         self.records: List[TraceRecord] = []
         self.counters: Dict[str, Counter] = {}
         self._by_category: Dict[str, _CategoryIndex] = {}
@@ -141,9 +133,7 @@ class Trace:
         self._scoped: Dict[str, List[Callable[[TraceRecord], None]]] = {}
 
     def record(self, time: float, category: str, **data: Any) -> None:
-        """Append a record (no-op when tracing is disabled)."""
-        if not self.enabled:
-            return
+        """Append a record."""
         rec = TraceRecord(time, category, data)
         self.records.append(rec)
         index = self._by_category.get(category)
@@ -168,8 +158,7 @@ class Trace:
         synchronously inside :meth:`record`, so keep it cheap).  With
         ``categories``, ``fn`` only sees records of those categories —
         the dispatch cost for everything else is one dict lookup instead
-        of a call.  A disabled trace records nothing and therefore
-        observes nothing.
+        of a call.
         """
         if fn in self._observers:
             raise ValueError("observer already registered")

@@ -140,7 +140,6 @@ class Process(Event):
         sim = self.sim
         generator = self._generator
         while True:
-            sim._active_process = self
             try:
                 if event._ok:
                     next_event = generator.send(event._value)
@@ -149,14 +148,11 @@ class Process(Event):
                     event.defuse()
                     next_event = generator.throw(event._value)
             except StopIteration as exc:
-                sim._active_process = None
                 self.succeed(exc.value)
                 return
             except BaseException as exc:
-                sim._active_process = None
                 self.fail(exc)
                 return
-            sim._active_process = None
 
             if not isinstance(next_event, Event):
                 error = RuntimeError(

@@ -1,7 +1,7 @@
 """Named, reproducible random-number streams.
 
 Every stochastic component (packet loss, workload generation, failure
-injection, GPS noise, ...) draws from its *own* named stream derived from a
+injection, ...) draws from its *own* named stream derived from a
 single master seed.  This gives two properties the experiments rely on:
 
 1. **Reproducibility** — the same master seed always yields the same run.

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 import numpy as np
@@ -44,37 +43,3 @@ def mean_ci(values: Sequence[float], z: float = 1.96) -> Tuple[float, float]:
     m = float(arr.mean())
     half = z * float(arr.std(ddof=1)) / math.sqrt(arr.size)
     return m, half
-
-
-@dataclass
-class Summary:
-    """Five-number-ish summary of a sample."""
-
-    n: int
-    mean: float
-    std: float
-    minimum: float
-    p50: float
-    maximum: float
-
-    def __str__(self) -> str:
-        return (
-            f"n={self.n} mean={self.mean:.4g} std={self.std:.4g} "
-            f"min={self.minimum:.4g} p50={self.p50:.4g} max={self.maximum:.4g}"
-        )
-
-
-def summarize(values: Sequence[float]) -> Summary:
-    """Compute a :class:`Summary` for ``values``."""
-    arr = np.asarray(values, dtype=float)
-    if arr.size == 0:
-        nan = float("nan")
-        return Summary(0, nan, nan, nan, nan, nan)
-    return Summary(
-        n=int(arr.size),
-        mean=float(arr.mean()),
-        std=float(arr.std(ddof=1)) if arr.size > 1 else 0.0,
-        minimum=float(arr.min()),
-        p50=float(np.median(arr)),
-        maximum=float(arr.max()),
-    )

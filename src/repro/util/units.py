@@ -20,19 +20,9 @@ def Mbps(x: float) -> float:
     return x * 1_000_000.0
 
 
-def kbps(x: float) -> float:
-    """Kilobits per second -> bits per second."""
-    return x * 1_000.0
-
-
 def bytes_to_bits(n_bytes: float) -> float:
     """Bytes -> bits."""
     return n_bytes * 8.0
-
-
-def bits_to_bytes(n_bits: float) -> float:
-    """Bits -> bytes."""
-    return n_bits / 8.0
 
 
 def transmission_time(size_bytes: float, bandwidth_bps: float) -> float:
@@ -42,21 +32,3 @@ def transmission_time(size_bytes: float, bandwidth_bps: float) -> float:
     if size_bytes < 0:
         raise ValueError(f"size must be non-negative, got {size_bytes}")
     return bytes_to_bits(size_bytes) / bandwidth_bps
-
-
-def fmt_bytes(n: float) -> str:
-    """Human-readable byte count ('8.0 MB')."""
-    n = float(n)
-    for unit, div in (("GB", GB), ("MB", MB), ("KB", KB)):
-        if abs(n) >= div:
-            return f"{n / div:.2f} {unit}"
-    return f"{n:.0f} B"
-
-
-def fmt_rate(bps: float) -> str:
-    """Human-readable bit rate ('1.50 Mbps')."""
-    if abs(bps) >= 1_000_000:
-        return f"{bps / 1_000_000:.2f} Mbps"
-    if abs(bps) >= 1_000:
-        return f"{bps / 1_000:.2f} kbps"
-    return f"{bps:.0f} bps"

@@ -50,7 +50,7 @@ from repro.verify.fuzz import (
     run_spec,
     write_specs,
 )
-from repro.verify.harness import InvariantHarness, InvariantViolation, Violation
+from repro.verify.harness import InvariantHarness, Violation
 from repro.verify.shrink import shrink
 
 __all__ = [
@@ -58,7 +58,6 @@ __all__ = [
     "DeliveryContract",
     "FuzzResult",
     "InvariantHarness",
-    "InvariantViolation",
     "Violation",
     "contract_for",
     "fuzz",

@@ -33,9 +33,7 @@ Each region is checked against its scheme's declared
   :meth:`InvariantHarness.finish`).
 
 Violations are collected as structured :class:`Violation` records, each
-carrying a window of the most recent trace records for debugging;
-:meth:`InvariantHarness.raise_if_violated` wraps them in an
-:class:`InvariantViolation`.
+carrying a window of the most recent trace records for debugging.
 """
 
 from __future__ import annotations
@@ -105,25 +103,6 @@ class Violation:
                 f"t={self.time:.3f} {self.message!r}>")
 
 
-class InvariantViolation(AssertionError):
-    """Raised (on request) when a run breaks its delivery contract.
-
-    Carries the full structured violation list; ``str()`` shows the
-    first few with their invariant names and times.
-    """
-
-    def __init__(self, violations: List[Violation]) -> None:
-        self.violations = list(violations)
-        head = "; ".join(
-            f"[{v.invariant}] {v.region} t={v.time:.1f}s: {v.message}"
-            for v in self.violations[:3]
-        )
-        more = len(self.violations) - 3
-        if more > 0:
-            head += f" (+{more} more)"
-        super().__init__(head)
-
-
 class _RegionState:
     """Per-region checker state (contract + counters + protocol sets)."""
 
@@ -169,23 +148,15 @@ class InvariantHarness:
         harness.finish()           # end-of-run checks, detach
         harness.violations         # [] on a contract-clean run
 
-    By default violations are *collected*, not raised — a sweep wants
-    every violation of every case, not the first traceback.  Pass
-    ``raise_on_violation=True`` (or call :meth:`raise_if_violated`) to
-    turn the first violation into an :class:`InvariantViolation`.
+    Violations are *collected*, not raised: a sweep wants every
+    violation of every case, not the first traceback.
     """
 
-    def __init__(
-        self,
-        system: "MobiStreamsSystem",
-        raise_on_violation: bool = False,
-        window: int = WINDOW_SIZE,
-    ) -> None:
+    def __init__(self, system: "MobiStreamsSystem") -> None:
         self.system = system
         self.trace: "Trace" = system.trace
-        self.raise_on_violation = raise_on_violation
         self.violations: List[Violation] = []
-        self._recent: Deque[Dict[str, Any]] = deque(maxlen=window)
+        self._recent: Deque[Dict[str, Any]] = deque(maxlen=WINDOW_SIZE)
         self._regions: Dict[str, _RegionState] = {}
         self._handlers = {
             "source_ingest": self._on_source_ingest,
@@ -208,12 +179,6 @@ class InvariantHarness:
         """Resolve every region's contract and tap the trace."""
         if self._started:
             raise RuntimeError("harness already started")
-        if not self.trace.enabled:
-            raise ValueError(
-                "invariant harness needs an enabled trace: a disabled "
-                "trace records nothing, so an armed harness would "
-                "silently verify nothing"
-            )
         for region in self.system.regions:
             self._regions[region.name] = _RegionState(
                 contract_for(region.scheme))
@@ -228,11 +193,6 @@ class InvariantHarness:
         self.trace.remove_observer(self.observe)
         self._check_progress()
         return self.violations
-
-    def raise_if_violated(self) -> None:
-        """Raise :class:`InvariantViolation` if any check failed."""
-        if self.violations:
-            raise InvariantViolation(self.violations)
 
     def contract(self, region_name: str) -> DeliveryContract:
         """The contract being enforced on one region."""
@@ -266,8 +226,6 @@ class InvariantHarness:
             window=tuple(dict(r) for r in self._recent),
         )
         self.violations.append(violation)
-        if self.raise_on_violation:
-            raise InvariantViolation([violation])
 
     # -- per-category checkers ---------------------------------------------
     def _on_source_ingest(self, state, time, data) -> None:

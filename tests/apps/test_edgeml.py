@@ -8,7 +8,6 @@ from repro.apps.edgeml.operators import (
     FEATURE_DIM,
     PartitionStage,
     PrototypeClassifier,
-    apply_layers,
     pooled_features,
 )
 from repro.apps.vision import FrameSpec
@@ -87,13 +86,6 @@ def test_pooled_features_reflect_target_count():
     busy = pooled_features(FrameSpec(seed=7, n_targets=8))
     assert quiet.shape == (FEATURE_DIM,)
     assert busy.sum() > quiet.sum()
-
-
-def test_apply_layers_is_deterministic():
-    feat = pooled_features(FrameSpec(seed=11, n_targets=3))
-    a = apply_layers(feat, range(0, 4))
-    b = apply_layers(feat, range(0, 4))
-    assert np.array_equal(a, b)
 
 
 def test_partition_stage_transforms_and_tracks_state():

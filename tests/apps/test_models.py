@@ -70,10 +70,10 @@ def test_capacity_model_combines_and_clamps():
 def test_traffic_signal_cycle():
     sig = TrafficSignal(red_s=40, green_s=35, yellow_s=4)
     assert sig.cycle_s == 79
-    assert sig.color_at(0) == "red"
-    assert sig.color_at(41) == "green"
-    assert sig.color_at(76) == "yellow"
-    assert sig.color_at(79) == "red"  # wraps
+    assert sig.phase_at(0)[0] == "red"
+    assert sig.phase_at(41)[0] == "green"
+    assert sig.phase_at(76)[0] == "yellow"
+    assert sig.phase_at(79)[0] == "red"  # wraps
 
 
 def test_traffic_signal_time_to_transition():

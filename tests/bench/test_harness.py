@@ -3,6 +3,7 @@ fault scripts run as scenario cases, and the table renderer."""
 
 import pytest
 
+from repro.apps.registry import create_app
 from repro.baselines import (
     ActiveStandby,
     DistributedCheckpoint,
@@ -13,7 +14,7 @@ from repro.bench.fig8 import SCHEME_ORDER, relative
 from repro.checkpoint import MobiStreamsScheme
 from repro.results import ResultSet
 from repro.scenarios import EventSpec, MatrixSpec, ScenarioSpec, run_case
-from repro.scenarios.runner import app_factory, case_to_type, scheme_factories
+from repro.scenarios.runner import case_to_type, scheme_factories
 from repro.util.tables import format_table
 
 
@@ -37,7 +38,7 @@ def test_factories_return_fresh_instances():
 
 def test_unknown_app_rejected():
     with pytest.raises(ValueError):
-        app_factory("nope")
+        create_app("nope")
 
 
 def run(scheme="ms-8", seed=3, events=(), **overrides):

@@ -72,13 +72,6 @@ def test_counters_flow_into_report():
     assert m.recoveries == 1
 
 
-def test_total_throughput_sums_regions():
-    trace = make_trace([(10, "r0", 1.0), (11, "r1", 1.0), (12, "r1", 1.0)])
-    m = compute_metrics(trace, ["r0", "r1"], until=10.0 + 10.0)
-    assert m.total_throughput_tps == pytest.approx(
-        m.per_region["r0"].throughput_tps + m.per_region["r1"].throughput_tps)
-
-
 def test_end_to_end_latency_is_last_region():
     trace = make_trace([(10, "r0", 1.0), (11, "r2", 7.0)])
     m = compute_metrics(trace, ["r0", "r1", "r2"], until=20.0)

@@ -83,20 +83,6 @@ def test_blocked_channel_queues_but_does_not_process():
     assert j.queued_items() == 0
 
 
-def test_unblock_channel_selectively():
-    s = build()
-    s.start()
-    region = s.regions[0]
-    j = region.nodes[region.placement.node_for("J", 0)]
-    j.block_channel("x")
-    j.block_channel("y")
-    assert j.blocked_channels == {"x", "y"}
-    j.unblock_channel("x")
-    assert j.blocked_channels == {"y"}
-    j.unblock_all()
-    assert j.blocked_channels == set()
-
-
 def test_round_robin_drains_both_channels():
     """Neither source starves the other at the join."""
     s = build(app=JoinApp(n=40))

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.operator import (
-    FilterOperator,
     MapOperator,
     OperatorContext,
     SinkOperator,
@@ -43,12 +42,6 @@ def test_map_operator_callable_out_size():
 def test_map_operator_callable_cost():
     op = MapOperator("M", lambda p: p, cost_s=lambda t: t.size * 0.001)
     assert op.cost(tup(size=100)) == pytest.approx(0.1)
-
-
-def test_filter_operator():
-    op = FilterOperator("F", lambda p: p > 0)
-    assert len(op.process(tup(5), ctx())) == 1
-    assert len(op.process(tup(-5), ctx())) == 0
 
 
 def test_source_and_sink_flags():

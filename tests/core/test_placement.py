@@ -75,15 +75,6 @@ def test_replicate_factor_bounds():
         base.replicate(["n0"], 0)
 
 
-def test_chain_of():
-    base = Placement.from_groups({"n0": ["S"], "n1": ["A"], "n2": ["K"]})
-    rep = base.replicate([f"n{i}" for i in range(6)], 2)
-    assert rep.chain_of("S", "n0") == 0
-    assert rep.chain_of("S", "n3") == 1
-    with pytest.raises(PlacementError):
-        rep.chain_of("S", "n1")
-
-
 def test_reassign_node():
     p = Placement.from_groups({"n0": ["S"], "n1": ["A", "K"]})
     p.reassign_node("n1", "n9")

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.tuples import CatchupEnd, StreamTuple, Token
+from repro.core.tuples import StreamTuple, Token
 
 
 def test_tuple_basics():
@@ -26,36 +26,16 @@ def test_derive_inherits_lineage():
     assert d.uid != t.uid
 
 
-def test_as_replay():
-    t = StreamTuple(payload=1, size=10, entered_at=0.0)
-    r = t.as_replay()
-    assert r.replay and not t.replay
-    assert r.uid != t.uid
-
-
 def test_uids_monotone():
     a = StreamTuple(payload=None, size=0, entered_at=0.0)
     b = StreamTuple(payload=None, size=0, entered_at=0.0)
     assert b.uid > a.uid
 
 
-def test_token_forwarding():
-    t = Token(version=3, origin="nodeA")
-    f = t.forwarded_by("nodeB")
-    assert f.version == 3
-    assert f.origin == "nodeB"
-    assert f.size == t.size
-
-
 def test_token_is_small():
     """The paper: token overhead < 1% of tuple size (tuples are images)."""
     t = Token(version=1, origin="x")
     assert t.size < 0.01 * 100 * 1024
-
-
-def test_catchup_end_marker():
-    m = CatchupEnd(recovery_id=2)
-    assert m.size > 0
 
 
 def test_stream_tuple_has_slots():

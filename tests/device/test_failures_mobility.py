@@ -16,16 +16,6 @@ def test_crash_at_fires_simultaneously():
     assert crashed == [(10.0, "p1", "burst"), (10.0, "p2", "burst"), (10.0, "p3", "burst")]
 
 
-def test_periodic_crashes():
-    sim = Simulator()
-    inj = FailureInjector(sim)
-    crashed = []
-    inj.on_crash(lambda pid, reason: crashed.append((sim.now, pid)))
-    inj.periodic_crashes(300.0, ["a", "b"])
-    sim.run()
-    assert crashed == [(300.0, "a"), (600.0, "b")]
-
-
 def test_injector_without_handler_raises():
     sim = Simulator()
     inj = FailureInjector(sim)

@@ -4,7 +4,6 @@ import pytest
 
 from repro.device import Phone, PhoneConfig
 from repro.net import Position
-from repro.sim import RngRegistry
 
 
 def test_defaults():
@@ -30,24 +29,6 @@ def test_crash():
     p = Phone("p", Position(0, 0))
     p.crash()
     assert not p.alive
-
-
-def test_gps_reading_noisy_but_close():
-    rng = RngRegistry(42)
-    p = Phone("p", Position(100, 200), PhoneConfig(gps_noise_m=3.0))
-    readings = [p.gps_reading(rng) for _ in range(100)]
-    from repro.net import distance
-
-    errors = [distance(r, p.position) for r in readings]
-    assert max(errors) < 20  # ~5 sigma
-    assert sum(errors) / len(errors) > 0.5  # actually noisy
-
-
-def test_gps_deterministic_per_seed():
-    p = Phone("p", Position(0, 0))
-    a = p.gps_reading(RngRegistry(7))
-    b = p.gps_reading(RngRegistry(7))
-    assert a == b
 
 
 def test_config_validation():

@@ -10,7 +10,6 @@ def test_write_read():
     fs = FlashStorage(1000)
     fs.write("ckpt.v1", 400, payload={"state": 1})
     assert fs.read("ckpt.v1") == {"state": 1}
-    assert fs.size_of("ckpt.v1") == 400
     assert fs.used_bytes == 400
     assert fs.free_bytes == 600
 
@@ -38,15 +37,6 @@ def test_delete_idempotent():
     fs.delete("k")
     assert fs.used_bytes == 0
     fs.delete("k")  # no error
-
-
-def test_contains_and_keys():
-    fs = FlashStorage(1000)
-    fs.write("a", 1)
-    fs.write("b", 2)
-    assert fs.contains("a")
-    assert not fs.contains("c")
-    assert sorted(fs.keys()) == ["a", "b"]
 
 
 def test_wipe():

@@ -74,15 +74,6 @@ def test_phone_rates_within_band():
         assert Mbps(0.35) <= dn <= Mbps(1.14)
 
 
-def test_set_phone_rates_override():
-    _, net = make_net()
-    net.register_phone("p", lambda m: None)
-    net.set_phone_rates("p", Mbps(0.2), Mbps(0.9))
-    assert net.phone_rates("p") == (Mbps(0.2), Mbps(0.9))
-    with pytest.raises(ValueError):
-        net.set_phone_rates("p", 0, Mbps(1))
-
-
 def test_uplink_contention_many_phones():
     """n simultaneous uploads share the tower capacity (Fig. 9 mechanism)."""
 

@@ -47,16 +47,6 @@ def test_ethernet_is_fast_compared_to_cellular():
     assert sim.now < 0.01
 
 
-def test_detach():
-    sim = Simulator()
-    sw = EthernetSwitch(sim)
-    sw.attach("a", lambda m: None)
-    sw.detach("a")
-    with pytest.raises(KeyError):
-        sim.process(sw.send(Message(src="x", dst="a", size=1, kind="t")))
-        sim.run()
-
-
 def test_trace_counter():
     trace = Trace()
     sim = Simulator()

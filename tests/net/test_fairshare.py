@@ -158,13 +158,3 @@ def test_transfer_validation():
         pipe.transfer(10, cap_bps=0)
     with pytest.raises(ValueError):
         FairSharePipe(sim, capacity_bps=0)
-
-
-def test_active_flows_counter():
-    sim = Simulator()
-    pipe = FairSharePipe(sim, capacity_bps=800.0)
-    pipe.transfer(100)
-    pipe.transfer(100)
-    assert pipe.active_flows == 2
-    sim.run()
-    assert pipe.active_flows == 0

@@ -1,20 +1,13 @@
-"""Tests for messages and fragmentation."""
+"""Tests for messages."""
 
 import pytest
 
-from repro.net import Message, fragment_count
-from repro.net.packet import datagram_delivery_probability
+from repro.net import Message
 
 
 def test_message_fields():
     m = Message(src="A", dst="B", size=100, kind="tuple")
-    assert not m.is_broadcast
     assert m.size == 100
-
-
-def test_broadcast_message():
-    m = Message(src="A", dst=None, size=10, kind="token")
-    assert m.is_broadcast
 
 
 def test_negative_size_rejected():
@@ -26,24 +19,3 @@ def test_message_ids_unique():
     a = Message(src="A", dst="B", size=1, kind="x")
     b = Message(src="A", dst="B", size=1, kind="x")
     assert a.msg_id != b.msg_id
-
-
-def test_fragment_count():
-    assert fragment_count(0) == 1
-    assert fragment_count(1024) == 1
-    assert fragment_count(1500) == 1
-    assert fragment_count(1501) == 2
-    assert fragment_count(15000) == 10
-
-
-def test_delivery_probability_shrinks_with_size():
-    small = datagram_delivery_probability(1024, 0.1)
-    large = datagram_delivery_probability(64 * 1024, 0.1)
-    assert small > large
-    # 1 KB fits one fragment: delivery = 1 - loss
-    assert small == pytest.approx(0.9)
-
-
-def test_delivery_probability_validation():
-    with pytest.raises(ValueError):
-        datagram_delivery_probability(100, 1.5)

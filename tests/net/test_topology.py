@@ -2,32 +2,12 @@
 
 import pytest
 
-from repro.net import Position, RegionArea, distance, in_range
+from repro.net import Position, RegionArea, distance
 from repro.sim import RngRegistry
 
 
 def test_distance():
     assert distance(Position(0, 0), Position(3, 4)) == 5.0
-
-
-def test_in_range():
-    a, b = Position(0, 0), Position(0, 30)
-    assert in_range(a, b, 50)
-    assert not in_range(a, b, 20)
-    assert in_range(a, b, 30)  # boundary inclusive
-
-
-def test_in_range_negative_raises():
-    with pytest.raises(ValueError):
-        in_range(Position(0, 0), Position(1, 1), -1)
-
-
-def test_moved_and_towards():
-    p = Position(0, 0)
-    assert p.moved(1, 2) == Position(1, 2)
-    q = p.towards(Position(10, 0), 4)
-    assert q == Position(4, 0)
-    assert p.towards(p, 5) == p  # zero distance guard
 
 
 def test_region_contains():
@@ -46,14 +26,3 @@ def test_region_random_point_inside():
     r = RegionArea(Position(10, -5), radius=7)
     for _ in range(200):
         assert r.contains(r.random_point(rng))
-
-
-def test_region_exit_point_outside():
-    rng = RngRegistry(1).stream("geo")
-    r = RegionArea(Position(0, 0), radius=10)
-    for _ in range(50):
-        assert not r.contains(r.exit_point(rng))
-
-
-def test_as_tuple():
-    assert Position(1.5, 2.5).as_tuple() == (1.5, 2.5)

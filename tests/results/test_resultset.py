@@ -113,8 +113,6 @@ def test_aggregate_ci_matches_stats_helper(rs):
     agg = base.aggregate("throughput", ci=True)
     expected_half = mean_ci([10.0, 14.0])[1]
     assert agg.ci_half == pytest.approx(expected_half)
-    assert agg.low == pytest.approx(agg.value - expected_half)
-    assert agg.high == pytest.approx(agg.value + expected_half)
     assert float(agg) == agg.value
 
 

@@ -203,7 +203,6 @@ def test_warm_pool_is_reused_for_same_spec_and_torn_down_on_change():
 def test_start_method_avoids_fork_off_linux(monkeypatch):
     """macOS lists fork as available but forking after numpy spawns
     ObjC/Accelerate threads can abort workers — never pick it there."""
-    monkeypatch.delenv("REPRO_MP_START", raising=False)
     monkeypatch.setattr(executor.sys, "platform", "darwin")
     assert executor._start_method() != "fork"
     monkeypatch.setattr(executor.sys, "platform", "linux")

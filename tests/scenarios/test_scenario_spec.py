@@ -119,9 +119,3 @@ def test_scaled_compresses_everything_together():
 def test_quick_is_noop_for_short_scenarios():
     spec = ScenarioSpec(name="s", duration_s=200.0, warmup_s=50.0)
     assert spec.quick(300.0) is spec
-
-
-def test_region_spec_fallback():
-    spec = rich_spec()
-    assert spec.region_spec(0).cpu_speed == 1.3
-    assert spec.region_spec(2) == RegionSpec()

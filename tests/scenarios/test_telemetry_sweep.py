@@ -110,6 +110,25 @@ def test_cached_row_without_sidecar_is_a_miss(serial_sweep, tmp_path):
     assert os.path.exists(sidecar)  # re-persisted
 
 
+def test_cli_sidecar_names_match_the_resume_cache(tmp_path):
+    """A ``--telemetry --out`` sidecar and the resume cache's timeline
+    for the same case share one file name."""
+    from repro import cli
+
+    out, cache_dir = tmp_path / "sweep.json", tmp_path / "cache"
+    assert cli.main(["scenario", "sweep", "flash-crowd", "--quick", "--telemetry",
+                     "--out", str(out), "--resume", "--cache-dir", str(cache_dir)]) == 0
+    (digest,) = os.listdir(cache_dir)
+    cache, matrix = CaseCache(str(cache_dir)), _specs()[1].matrix
+    cached = sorted(
+        os.path.basename(cache.timeline_path(digest, app.key, scheme, seed))
+        for app in matrix.apps for scheme in matrix.schemes for seed in matrix.seeds
+    )
+    assert sorted(os.listdir(tmp_path / "sweep.timelines")) == cached
+    assert sorted(n for n in os.listdir(cache_dir / digest)
+                  if n.endswith(".timeline.json")) == cached
+
+
 def test_timelines_dir_requires_telemetry(tmp_path):
     spec, _spec_t = _specs()
     with pytest.raises(ValueError, match="telemetry"):

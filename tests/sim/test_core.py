@@ -84,14 +84,6 @@ def test_step_on_empty_schedule_raises():
         sim.step()
 
 
-def test_peek_returns_next_event_time():
-    sim = Simulator()
-    assert sim.peek() == float("inf")
-    sim.timeout(3.0)
-    sim.timeout(1.0)
-    assert sim.peek() == 1.0
-
-
 def test_run_until_event_returns_value():
     sim = Simulator()
 

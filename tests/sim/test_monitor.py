@@ -54,14 +54,6 @@ def test_counter_negative_raises():
         tr.count("x", -1)
 
 
-def test_disabled_trace_skips_records_keeps_counters():
-    tr = Trace(enabled=False)
-    tr.record(1.0, "x")
-    tr.count("c", 5)
-    assert tr.records == []
-    assert tr.value("c") == 5
-
-
 def test_clear():
     tr = Trace()
     tr.record(1.0, "x")
@@ -191,14 +183,6 @@ def test_observer_remove_and_duplicate_registration():
         tr.add_observer(seen.append)
     tr.remove_observer(seen.append)
     tr.remove_observer(seen.append)  # unknown: ignored
-    tr.record(1.0, "a")
-    assert seen == []
-
-
-def test_observer_skipped_when_trace_disabled():
-    tr = Trace(enabled=False)
-    seen = []
-    tr.add_observer(seen.append)
     tr.record(1.0, "a")
     assert seen == []
 

@@ -2,7 +2,7 @@
 
 import math
 
-from repro.util import mean, mean_ci, percentile, summarize
+from repro.util import mean, mean_ci, percentile
 
 
 def test_mean():
@@ -30,19 +30,3 @@ def test_mean_ci_width_shrinks_with_n():
 def test_mean_ci_empty():
     m, half = mean_ci([])
     assert math.isnan(m) and math.isnan(half)
-
-
-def test_summarize():
-    s = summarize([1.0, 2.0, 3.0])
-    assert s.n == 3
-    assert s.mean == 2.0
-    assert s.minimum == 1.0
-    assert s.maximum == 3.0
-    assert s.p50 == 2.0
-    assert "n=3" in str(s)
-
-
-def test_summarize_empty():
-    s = summarize([])
-    assert s.n == 0
-    assert math.isnan(s.mean)

@@ -6,11 +6,7 @@ from repro.util import (
     KB,
     MB,
     Mbps,
-    bits_to_bytes,
     bytes_to_bits,
-    fmt_bytes,
-    fmt_rate,
-    kbps,
     transmission_time,
 )
 
@@ -22,12 +18,10 @@ def test_constants():
 
 def test_rate_conversions():
     assert Mbps(1) == 1_000_000
-    assert kbps(2) == 2_000
 
 
-def test_bit_byte_roundtrip():
+def test_bytes_to_bits():
     assert bytes_to_bits(10) == 80
-    assert bits_to_bytes(80) == 10
 
 
 def test_transmission_time_basic():
@@ -48,15 +42,3 @@ def test_transmission_time_validation():
         transmission_time(10, 0)
     with pytest.raises(ValueError):
         transmission_time(-1, 100)
-
-
-def test_fmt_bytes():
-    assert fmt_bytes(512) == "512 B"
-    assert fmt_bytes(8 * MB) == "8.00 MB"
-    assert fmt_bytes(2 * KB) == "2.00 KB"
-
-
-def test_fmt_rate():
-    assert fmt_rate(1_500_000) == "1.50 Mbps"
-    assert fmt_rate(2_000) == "2.00 kbps"
-    assert fmt_rate(500) == "500 bps"

@@ -6,10 +6,8 @@ outputs are plain ``trace.record`` calls, so every violating interleaving
 is a three-line scenario.
 """
 
-import pytest
-
 from repro.sim.monitor import Trace
-from repro.verify.harness import InvariantHarness, InvariantViolation
+from repro.verify.harness import InvariantHarness
 
 
 class _StubScheme:
@@ -144,22 +142,6 @@ def test_mrc_must_not_move_backwards():
     t.record(30.0, "catchup_started", region="region0", mrc=2, tuples=0)
     t.record(40.0, "catchup_started", region="region0", mrc=1, tuples=0)
     assert "monotone-versions" in _names(harness)
-
-
-def test_raise_on_violation_mode():
-    system = _StubSystem()
-    harness = InvariantHarness(system, raise_on_violation=True)
-    harness.start()
-    with pytest.raises(InvariantViolation, match="token-safety"):
-        system.trace.record(
-            20.0, "catchup_started", region="region0", mrc=3, tuples=0)
-
-
-def test_harness_refuses_a_disabled_trace():
-    system = _StubSystem()
-    system.trace.enabled = False
-    with pytest.raises(ValueError, match="enabled trace"):
-        InvariantHarness(system).start()
 
 
 def test_finish_detaches_the_observer():
