@@ -1,10 +1,10 @@
 """Static analysis: project-aware lint rules with a baseline gate.
 
 The byte-identity contract — every artifact identical across serial/
-parallel/distributed/resumed execution — has been broken twice by the
+parallel/resumed execution — has been broken twice by the
 same bug classes (str-hash-order voting in PR 2, a wall-clock epoch
 anchor in PR 8).  This package checks those classes *statically*:
-``python -m repro lint src/`` walks the ASTs with 9 project-specific
+``python -m repro lint src/`` walks the ASTs with 8 project-specific
 rules and fails on any finding not in the committed baseline
 (``lint-baseline.json``, kept empty).
 
@@ -34,9 +34,6 @@ rule                  family           rationale
 ``observer-purity``   observer-purity  Trace observer callbacks (QoSMonitor,
                                        InvariantHarness) must not call scheduler/RNG
                                        APIs — observers observe
-``lock-discipline``   lock-discipline  in ``fabric/``, attributes written under
-                                       ``self._lock`` must only be touched while
-                                       holding it — a static race detector
 ====================  ===============  ==============================================
 
 Spec checks (``repro lint path/to/spec.json``): ``spec-invalid``,

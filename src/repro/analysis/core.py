@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Type
 
 #: Rule families, in catalog order.
-FAMILIES = ("determinism", "api-contract", "observer-purity", "lock-discipline")
+FAMILIES = ("determinism", "api-contract", "observer-purity")
 
 _SUPPRESS_RE = re.compile(r"#\s*repro-lint:\s*disable=([A-Za-z0-9_, \-]+)")
 

@@ -64,9 +64,6 @@ SCHEDULER_API = frozenset({
     "trigger",
 })
 
-#: Where the lock-discipline rule applies: the threaded control plane.
-LOCK_PATHS = ("repro/fabric/",)
-
 #: The module that owns WifiCell internals; everyone else goes through
 #: ``set_loss()`` / ``member_ids()``.
 WIFI_MODULE = "repro/net/wifi.py"

@@ -6,5 +6,4 @@ Import this (not the individual ``rules_*`` modules) before calling
 
 from repro.analysis import rules_contracts  # noqa: F401
 from repro.analysis import rules_determinism  # noqa: F401
-from repro.analysis import rules_locks  # noqa: F401
 from repro.analysis import rules_observers  # noqa: F401

@@ -28,14 +28,6 @@ Commands
     ``--replay`` a saved ``*.timeline.json`` artifact frame by frame.
     Pair with ``scenario sweep --telemetry --out sweep.json``, which
     drops per-case timelines into ``sweep.timelines/``.
-``fabric``
-    Distributed sweeps (see :mod:`repro.fabric`): ``coordinator`` binds
-    a TCP control plane and shards one sweep's case matrix over
-    ``worker`` processes (on this host or others), re-queuing cases
-    lost to worker death and merging rows byte-identically to a serial
-    run; ``chaos`` SIGKILLs random workers mid-sweep and byte-compares
-    the result against serial.  ``scenario sweep --fabric HOST:PORT``
-    is coordinator mode with the standard sweep UX.
 ``fuzz``
     Property-based scenario fuzzing (see :mod:`repro.verify`): ``gen``
     writes a seed's deterministic spec walk as JSON files, ``run``
@@ -45,8 +37,8 @@ Commands
     ``scenario run <file> --verify``.
 ``lint``
     Project-aware static analysis (see :mod:`repro.analysis`): walk the
-    tree's ASTs with the determinism / API-contract / observer-purity /
-    lock-discipline rule catalog, gate on the committed
+    tree's ASTs with the determinism / API-contract / observer-purity
+    rule catalog, gate on the committed
     ``lint-baseline.json`` (fail only on *new* findings), or check
     ScenarioSpec JSON files statically (``lint path/to/spec.json``).
 ``info``
@@ -72,10 +64,6 @@ Examples
     python -m repro app list
     python -m repro app show edgeml
     python -m repro scenario run paper-fig8 --quick --verify
-    python -m repro fabric coordinator paper-fig8 --quick --bind :7381 \\
-        --out sweep.json
-    python -m repro fabric worker --connect coordinator-host:7381 --jobs 4
-    python -m repro fabric chaos paper-fig8 --quick --workers 2 --kills 1
     python -m repro fuzz run --seed 7 --count 20 --budget-s 60
     python -m repro fuzz shrink failing.json --out minimal.json
     python -m repro scenario run minimal.json --verify
@@ -112,8 +100,7 @@ def _parse_fault(spec: str) -> Tuple[float, List[int]]:
 
 
 def _add_sweep_exec_flags(p: argparse.ArgumentParser) -> None:
-    """Sweep-execution flags shared by ``scenario run``/``sweep`` and
-    ``fabric coordinator`` (which is a sweep with remote executors)."""
+    """Sweep-execution flags shared by ``scenario run`` and ``sweep``."""
     p.add_argument("--quick", action="store_true",
                    help="time-compress the scenario to ~300 sim seconds")
     p.add_argument("--out", default=None, metavar="FILE",
@@ -204,85 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--jobs", type=int, default=1,
                        help="worker processes (default 1 = serial)")
         _add_sweep_exec_flags(p)
-        if verb == "sweep":
-            p.add_argument("--fabric", default=None, metavar="HOST:PORT",
-                           help="coordinate this sweep over the distributed "
-                                "fabric: bind HOST:PORT and lease cases to "
-                                "`repro fabric worker` processes instead of "
-                                "a local pool (--jobs is ignored)")
-
-    fabric_p = sub.add_parser(
-        "fabric", help="distributed sweep fabric: coordinator, workers, "
-                       "and the chaos harness")
-    fabric_sub = fabric_p.add_subparsers(dest="fabric_command", required=True)
-    fab_coord = fabric_sub.add_parser(
-        "coordinator",
-        help="serve one sweep: shard the case matrix over TCP workers and "
-             "merge rows in deterministic matrix order")
-    fab_coord.add_argument(
-        "name", help="a registered scenario name or a spec JSON file")
-    fab_coord.add_argument("--bind", default="127.0.0.1:7381",
-                           metavar="HOST:PORT",
-                           help="listen address (default 127.0.0.1:7381; "
-                                "port 0 picks a free port)")
-    _add_sweep_exec_flags(fab_coord)
-    fab_coord.add_argument("--lease-timeout", type=float, default=120.0,
-                           metavar="SECS",
-                           help="re-queue a leased case not finished within "
-                                "this window (default 120)")
-    fab_coord.add_argument("--heartbeat-timeout", type=float, default=15.0,
-                           metavar="SECS",
-                           help="treat a worker silent this long as dead "
-                                "(default 15)")
-    fab_coord.add_argument("--retry-limit", type=int, default=5,
-                           help="quarantine a case after this many leases "
-                                "(default 5)")
-    fab_coord.add_argument("--max-kills", type=int, default=2,
-                           help="quarantine a case after it kills this many "
-                                "workers (default 2)")
-    fab_coord.add_argument("--idle-timeout", type=float, default=None,
-                           metavar="SECS",
-                           help="abort if no worker makes progress for this "
-                                "long (default: wait forever)")
-    fab_worker = fabric_sub.add_parser(
-        "worker", help="lease and execute cases from a coordinator")
-    fab_worker.add_argument("--connect", required=True, metavar="HOST:PORT",
-                            help="coordinator address")
-    fab_worker.add_argument("--jobs", type=int, default=1,
-                            help="local executor processes; 1 (default) "
-                                 "runs cases in-process")
-    fab_worker.add_argument("--id", default=None, metavar="NAME",
-                            help="worker identity in coordinator logs "
-                                 "(default <host>-<pid>)")
-    fab_worker.add_argument("--heartbeat-interval", type=float, default=1.0,
-                            metavar="SECS",
-                            help="keepalive cadence while busy (default 1)")
-    fab_worker.add_argument("--io-timeout", type=float, default=15.0,
-                            metavar="SECS",
-                            help="socket timeout per exchange (default 15)")
-    fab_worker.add_argument("--patience", type=float, default=60.0,
-                            metavar="SECS",
-                            help="give up after the coordinator has been "
-                                 "unreachable this long (default 60)")
-    fab_chaos = fabric_sub.add_parser(
-        "chaos", help="SIGKILL random workers mid-sweep and assert the "
-                      "merged artifact byte-matches a serial run")
-    fab_chaos.add_argument(
-        "name", help="a registered scenario name or a spec JSON file")
-    fab_chaos.add_argument("--quick", action="store_true",
-                           help="time-compress the scenario to ~300 sim "
-                                "seconds")
-    fab_chaos.add_argument("--workers", type=int, default=2,
-                           help="worker subprocesses (default 2)")
-    fab_chaos.add_argument("--kills", type=int, default=1,
-                           help="workers to SIGKILL mid-run (default 1)")
-    fab_chaos.add_argument("--seed", type=int, default=0,
-                           help="victim-selection RNG seed (default 0)")
-    fab_chaos.add_argument("--max-cases", type=int, default=None, metavar="N",
-                           help="truncate the matrix to N cases")
-    fab_chaos.add_argument("--work-dir", default=None, metavar="DIR",
-                           help="artifact scratch directory (default: a "
-                                "fresh temp dir)")
 
     watch_p = sub.add_parser(
         "watch", help="live QoS telemetry: watch a scenario case or "
@@ -394,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     lint_p = sub.add_parser(
         "lint", help="project-aware static analysis (determinism, API "
-                     "contracts, observer purity, lock discipline)")
+                     "contracts, observer purity)")
     from repro.analysis.cli import configure_parser as _configure_lint
     _configure_lint(lint_p)
 
@@ -513,7 +421,7 @@ def _prepare_sweep_spec(spec, args):
 
 
 def _report_failures(result, verify: bool) -> bool:
-    """Surface a sweep envelope's violation/error/quarantine records on
+    """Surface a sweep envelope's violation and error records on
     stderr.  Returns True when any fired (the non-zero-exit signal)."""
     violations = result.get("violations", []) if verify else []
     if verify:
@@ -537,110 +445,7 @@ def _report_failures(result, verify: bool) -> bool:
               f"seed={rec.get('seed')} after {rec.get('attempts')} "
               f"attempt(s): {err.get('type')}: {err.get('message')}",
               file=sys.stderr)
-    quarantined = result.get("quarantined", [])
-    for rec in quarantined:
-        print(f"QUARANTINED app={rec.get('app')} scheme={rec.get('scheme')} "
-              f"seed={rec.get('seed')}: {rec.get('reason')} "
-              f"(kills={rec.get('kills')}, attempts={rec.get('attempts')})",
-              file=sys.stderr)
-    return bool(violations or errors or quarantined)
-
-
-def cmd_fabric(args) -> int:
-    from repro.fabric import (
-        FabricCoordinator,
-        FabricError,
-        FabricWorker,
-        parse_address,
-    )
-
-    if args.fabric_command == "worker":
-        try:
-            address = parse_address(args.connect)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        if args.jobs < 1:
-            print("error: --jobs must be >= 1", file=sys.stderr)
-            return 2
-        worker = FabricWorker(
-            address, jobs=args.jobs, worker_id=args.id,
-            heartbeat_interval_s=args.heartbeat_interval,
-            io_timeout_s=args.io_timeout, patience_s=args.patience)
-        return worker.run()
-
-    spec, err = _load_spec_arg(args.name)
-    if spec is None:
-        return err
-
-    if args.fabric_command == "chaos":
-        import tempfile
-
-        from repro.fabric.chaos import run_chaos
-
-        if args.quick:
-            spec = spec.quick()
-        work_dir = args.work_dir or tempfile.mkdtemp(prefix="repro-chaos-")
-        outcome = run_chaos(
-            spec, work_dir=work_dir, n_workers=args.workers,
-            kills=args.kills, seed=args.seed, max_cases=args.max_cases)
-        print(f"chaos: {outcome.n_cases} case(s), "
-              f"{outcome.kills_delivered} worker(s) SIGKILLed, "
-              f"{outcome.respawns} respawned")
-        print(f"chaos: serial  -> {outcome.serial_path}")
-        print(f"chaos: fabric  -> {outcome.fabric_path}")
-        clean = outcome.identical and not outcome.quarantined \
-            and not outcome.errors
-        print("chaos: artifacts byte-identical" if outcome.identical
-              else "chaos: ARTIFACT MISMATCH")
-        _report_failures(outcome.envelope, verify=False)
-        return 0 if clean else 1
-
-    # coordinator
-    if args.max_cases is not None and args.max_cases < 1:
-        print("error: --max-cases must be >= 1", file=sys.stderr)
-        return 2
-    spec, timelines_dir = _prepare_sweep_spec(spec, args)
-    if spec is None:
-        return 2
-    try:
-        bind = parse_address(args.bind)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    resume_dir = args.cache_dir if args.resume else None
-
-    def on_progress(kind, index, app_key, scheme, seed) -> None:
-        print(f"fabric: case {index} {kind} ({app_key}/{scheme}/seed={seed})",
-              file=sys.stderr, flush=True)
-
-    try:
-        coordinator = FabricCoordinator(
-            spec, bind, verify=args.verify, resume_dir=resume_dir,
-            max_cases=args.max_cases, lease_timeout_s=args.lease_timeout,
-            heartbeat_timeout_s=args.heartbeat_timeout,
-            retry_limit=args.retry_limit, max_kills=args.max_kills,
-            idle_timeout_s=args.idle_timeout, on_progress=on_progress)
-    except OSError as exc:
-        print(f"error: cannot bind {args.bind}: {exc}", file=sys.stderr)
-        return 2
-    print(f"fabric: listening on {coordinator.host}:{coordinator.port}",
-          file=sys.stderr, flush=True)
-    try:
-        result = coordinator.run(out_path=args.out, compact=args.compact,
-                                 timelines_dir=timelines_dir)
-    except FabricError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    failed = _report_failures(result, verify=args.verify)
-    if timelines_dir:
-        print(f"telemetry timelines -> {timelines_dir}/", file=sys.stderr)
-    if args.out:
-        print(f"{result['n_cases']} cases -> {args.out}")
-    else:
-        rs = ResultSet.from_sweep(result)
-        print(rs.to_json(compact=args.compact))
-    return 1 if failed else 0
+    return bool(violations or errors)
 
 
 def cmd_scenario(args) -> int:
@@ -689,32 +494,11 @@ def cmd_scenario(args) -> int:
     from repro.scenarios import executor
 
     hits_before = executor.stats["cache_hits"]
-    fabric = getattr(args, "fabric", None)
-    if fabric is not None:
-        from repro.fabric import FabricCoordinator, FabricError, parse_address
-
-        try:
-            bind = parse_address(fabric)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        coordinator = FabricCoordinator(
-            spec, bind, verify=args.verify, resume_dir=resume_dir,
-            max_cases=args.max_cases)
-        print(f"fabric: listening on {coordinator.host}:{coordinator.port}",
-              file=sys.stderr, flush=True)
-        try:
-            result = coordinator.run(out_path=args.out, compact=compact,
-                                     timelines_dir=timelines_dir)
-        except FabricError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-    else:
-        result = scenarios.run_sweep(spec, jobs=args.jobs, out_path=args.out,
-                                     compact=compact, resume_dir=resume_dir,
-                                     max_cases=args.max_cases,
-                                     timelines_dir=timelines_dir,
-                                     verify=args.verify)
+    result = scenarios.run_sweep(spec, jobs=args.jobs, out_path=args.out,
+                                 compact=compact, resume_dir=resume_dir,
+                                 max_cases=args.max_cases,
+                                 timelines_dir=timelines_dir,
+                                 verify=args.verify)
     failed = _report_failures(result, verify=args.verify)
     if resume_dir:
         hits = executor.stats["cache_hits"] - hits_before
@@ -1064,8 +848,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     return {"run": cmd_run, "bench": cmd_bench, "scenario": cmd_scenario,
             "watch": cmd_watch, "report": cmd_report, "app": cmd_app,
-            "fuzz": cmd_fuzz, "fabric": cmd_fabric,
-            "lint": cmd_lint, "info": cmd_info}[args.command](args)
+            "fuzz": cmd_fuzz, "lint": cmd_lint,
+            "info": cmd_info}[args.command](args)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -45,13 +45,12 @@ from repro.results.model import AXES, SCHEMA_VERSION, CaseResult
 from repro.util.stats import mean, mean_ci, nearest_rank
 
 #: The envelope keys a sweep artifact may carry.  ``violations`` (a
-#: ``verify=True`` sweep), ``errors`` (cases that raised and exhausted
-#: their retry), and ``quarantined`` (fabric cases that kept killing
-#: their workers) only appear on in-memory envelopes — the on-disk
+#: ``verify=True`` sweep) and ``errors`` (cases that raised and exhausted
+#: their retry) only appear on in-memory envelopes — the on-disk
 #: artifact never carries them; they are tolerated, not stored.
 _ENVELOPE_REQUIRED = ("cases", "n_cases")
 _ENVELOPE_OPTIONAL = ("scenario", "spec", "schema_version", "violations",
-                      "errors", "quarantined")
+                      "errors")
 
 
 #: stat name -> reducer over a non-empty numeric sample.

@@ -124,7 +124,7 @@ def _init_worker(spec_dict: Dict[str, Any], verify: bool = False) -> None:
     if os.environ.get("REPRO_ENABLE_TEST_SCHEMES"):
         # Arm the chaos test schemes in every worker so a spec whose
         # matrix names them validates and executes here too.
-        from repro.fabric.testing import ensure_registered
+        from repro.scenarios.testing import ensure_registered
         ensure_registered()
     _WORKER_SPEC = ScenarioSpec.from_dict(spec_dict)
     _WORKER_VERIFY = verify
@@ -153,7 +153,7 @@ def _execute_case(
 def _error_record(exc: BaseException) -> Dict[str, Any]:
     """A JSON-able description of a case failure (type, message, and the
     tail of the traceback — capped so a pathological repr cannot bloat
-    run reports or fabric frames)."""
+    run reports)."""
     text = "".join(
         traceback.format_exception(type(exc), exc, exc.__traceback__))
     if len(text) > 4000:

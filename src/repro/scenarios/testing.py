@@ -1,17 +1,15 @@
-"""Engineered failures for exercising the fabric's recovery paths.
+"""Engineered failures for exercising the sweep executor's recovery paths.
 
 Two test-only schemes ride the runtime scheme-extension registry
 (:func:`repro.scenarios.runner.register_scheme`), mirroring
 :mod:`repro.verify.testing`:
 
 * ``chaos-kill`` — :class:`WorkerKillingScheme` SIGKILLs the *process
-  executing the case* at :meth:`attach` time.  With ``jobs == 1`` that
-  is the fabric worker itself (connection reset → the coordinator
-  charges a kill); in a local pool it is a pool child (the executor's
-  pid watchdog notices).  The kill budget lives in the filesystem so it
-  spans processes and sweeps: ``REPRO_KILL_DIR`` points at a marker
-  directory and ``REPRO_KILL_LIMIT`` caps how many kills fire (``-1`` =
-  unlimited — the recipe for a quarantine, since every retry dies too).
+  executing the case* at :meth:`attach` time: in a local pool that is a
+  pool child, and the executor's pid watchdog notices.  The kill budget
+  lives in the filesystem so it spans processes and sweeps:
+  ``REPRO_KILL_DIR`` points at a marker directory and
+  ``REPRO_KILL_LIMIT`` caps how many kills fire (``-1`` = unlimited).
   Budget exhausted → the scheme behaves exactly like ``base``.
 
 * ``chaos-error`` — :class:`ErroringScheme` raises a plain exception at
@@ -20,11 +18,11 @@ Two test-only schemes ride the runtime scheme-extension registry
 
 The schemes are armed in worker processes only when
 ``REPRO_ENABLE_TEST_SCHEMES`` is set in the environment — the executor
-pool initializer and the fabric worker both call
-:func:`ensure_registered` under that flag, so a spec whose matrix names
-``chaos-kill`` validates on every side of the fabric.  Importing this
-module alone has no side effects (tests import its constants freely);
-in-process tests use the :func:`chaos_schemes` context manager.
+pool initializer calls :func:`ensure_registered` under that flag, so a
+spec whose matrix names ``chaos-kill`` validates in every pool worker.
+Importing this module alone has no side effects (tests import its
+constants freely); in-process tests use the :func:`chaos_schemes`
+context manager.
 """
 
 from __future__ import annotations

@@ -35,16 +35,15 @@ def test_unknown_rule_error_lists_known_names():
         get_rule("no-such-rule")
     message = str(err.value)
     assert "no-such-rule" in message
-    for name in ("unseeded-rng", "lock-discipline"):
+    for name in ("unseeded-rng", "observer-purity"):
         assert name in message
 
 
-def test_catalog_has_all_nine_rules_across_four_families():
+def test_catalog_has_all_eight_rules_across_three_families():
     names = rule_names()
-    assert len(names) == 9
+    assert len(names) == 8
     families = {get_rule(n).family for n in names}
-    assert families == {"determinism", "api-contract", "observer-purity",
-                        "lock-discipline"}
+    assert families == {"determinism", "api-contract", "observer-purity"}
 
 
 def test_duplicate_registration_rejected():

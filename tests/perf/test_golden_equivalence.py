@@ -6,6 +6,11 @@ optimization work (measured with the deterministic voting tie-break in
 place).  Any optimization that perturbs RNG draw order, event ordering,
 or detector results — however subtly — flips these hashes.
 
+Hash order is pinned on purpose too: the same five artifacts are
+recomputed in subprocesses under fixed ``PYTHONHASHSEED`` values, so a
+set iterated in hash order fails here on every run instead of only when
+pytest's random per-process seed happens to reorder it.
+
 Regenerate golden_hashes.json (only after an *intentional* semantic
 change, never to paper over a perf regression) by computing
 ``_artifact_sha256(name)`` for each guarded scenario on the commit that
@@ -15,13 +20,17 @@ defines the new expected behavior.
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
 from repro import scenarios
 from repro.results.io import dumps_artifact
 
-GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden_hashes.json")
+HERE = os.path.dirname(os.path.abspath(__file__))
+SRC = os.path.join(HERE, os.pardir, os.pardir, "src")
+GOLDEN_PATH = os.path.join(HERE, "golden_hashes.json")
 
 #: Scenarios covered by the guard: the paper's headline sweep, a
 #: failure-heavy one (recovery, replay, and broadcast paths all firing),
@@ -53,3 +62,36 @@ def test_quick_artifact_matches_pre_optimization_golden(name, golden):
         f"{name}: quick-sweep artifact diverged from the pre-optimization "
         "golden — an optimization changed simulation results"
     )
+
+
+#: ``PYTHONHASHSEED`` values the subprocess check runs under.  At least
+#: two, so a hash-order dependence cannot pass by matching one seed.
+HASH_SEEDS = (1, 2)
+
+#: Child program: every guarded artifact's hash as one JSON object.
+_CHILD = (
+    "import json, sys\n"
+    "sys.path[:0] = sys.argv[1:]\n"
+    "from test_golden_equivalence import GUARDED, _artifact_sha256\n"
+    "print(json.dumps({n: _artifact_sha256(n) for n in GUARDED}))\n"
+)
+
+
+def test_quick_artifacts_match_golden_under_fixed_hash_seeds(golden):
+    children = {
+        seed: subprocess.Popen(
+            [sys.executable, "-c", _CHILD, SRC, HERE],
+            stdout=subprocess.PIPE, text=True,
+            env={**os.environ, "PYTHONHASHSEED": str(seed)})
+        for seed in HASH_SEEDS
+    }
+    diverged = []
+    for seed, child in children.items():
+        out, _ = child.communicate()
+        assert child.returncode == 0, f"PYTHONHASHSEED={seed} child failed"
+        hashes = json.loads(out)
+        diverged += [f"{name} (PYTHONHASHSEED={seed})" for name in GUARDED
+                     if hashes[name] != golden[name]]
+    assert not diverged, (
+        "quick-sweep artifacts depend on the hash seed: "
+        + ", ".join(diverged))

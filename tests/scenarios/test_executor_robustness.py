@@ -1,7 +1,7 @@
 """Executor robustness: pool-worker death, case errors, corrupt cache.
 
-These are the local (non-fabric) halves of the PR's failure-injection
-story — a SIGKILLed pool worker must cost one pool rebuild, a raising
+The sweep executor's failure-injection story: a SIGKILLed pool worker
+must cost one pool rebuild, a raising
 case must become a structured error record after one retry, and a
 corrupt resume-cache entry must degrade to a warned cache miss.
 """
@@ -12,7 +12,7 @@ import os
 
 import pytest
 
-from repro.fabric.testing import (
+from repro.scenarios.testing import (
     CHAOS_ERROR,
     CHAOS_KILL,
     ENABLE_ENV,
