@@ -12,9 +12,17 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional
 
-import numpy as np
-
 from repro.checkpoint import snapshots
+
+
+def clip(x: float, lo: float, hi: float) -> float:
+    """``float(np.clip(x, lo, hi))`` of a scalar without numpy's dispatch.
+
+    The same value for every float, -0.0 and NaN included: ``max`` and
+    ``min`` keep their first argument on a tie or an unordered compare,
+    as numpy's clip keeps ``x``.
+    """
+    return min(max(float(x), lo), hi)
 
 
 class OnlineStats:
@@ -65,7 +73,7 @@ class BoardingModel(OnlineStats):
 
     def predict(self, waiting_count: float) -> float:
         """Expected boarders given the counted waiting crowd."""
-        return max(0.0, waiting_count * float(np.clip(self.mean, 0.0, 1.0)))
+        return max(0.0, waiting_count * clip(self.mean, 0.0, 1.0))
 
     def observe(self, waiting_count: float, boarded: float) -> None:
         """Learn from ground truth when the bus actually leaves."""
@@ -82,7 +90,7 @@ class AlightingModel(OnlineStats):
 
     def predict(self, on_bus: float) -> float:
         """Expected alighting passengers."""
-        return max(0.0, on_bus * float(np.clip(self.mean, 0.0, 1.0)))
+        return max(0.0, on_bus * clip(self.mean, 0.0, 1.0))
 
     def observe(self, on_bus: float, alighted: float) -> None:
         """Learn from observed alightings."""
@@ -120,7 +128,7 @@ class CapacityModel:
 
     def predict(self, on_bus: float, alighting: float, boarding: float) -> float:
         """Passengers on board when the bus leaves this stop."""
-        return float(np.clip(on_bus - alighting + boarding, 0.0, self.max_capacity))
+        return clip(on_bus - alighting + boarding, 0.0, float(self.max_capacity))
 
     def snapshot(self) -> Dict[str, Any]:
         """Serializable state."""

@@ -21,7 +21,7 @@ from typing import Any, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.apps.vision import FrameSpec, render_gray
+from repro.apps.vision import pooled_features
 from repro.checkpoint import snapshots
 from repro.core.operator import Operator, OperatorContext, SinkOperator, SourceOperator
 from repro.core.tuples import StreamTuple
@@ -30,20 +30,6 @@ from repro.core.tuples import StreamTuple
 FEATURE_DIM = 16
 #: Seed base for the deterministic "pretrained" layer weights.
 WEIGHT_SEED = 0xED6E
-
-
-def pooled_features(spec: FrameSpec) -> np.ndarray:
-    """Render a frame and average-pool it into a FEATURE_DIM vector.
-
-    A 4x4 grid of block means over the grayscale render — the input
-    embedding the first partition feeds the network.  Brighter blocks
-    mean more targets, so the vector genuinely carries the class signal.
-    """
-    img, _centers = render_gray(spec)
-    h, w = img.shape
-    gh, gw = h // 4, w // 4
-    pooled = img[: gh * 4, : gw * 4].reshape(4, gh, 4, gw).mean(axis=(1, 3))
-    return pooled.reshape(-1).astype(np.float64)
 
 
 def layer_weights(layer: int) -> np.ndarray:
@@ -134,7 +120,7 @@ class PartitionStage(Operator):
             feat = feat + np.tanh(mat @ feat)
         self.frames_inferred += 1
         self.activation_mean += (
-            float(feat.mean()) - self.activation_mean
+            float(feat.sum()) / feat.size - self.activation_mean
         ) / self.frames_inferred
         out = {"features": feat, "true_class": data["true_class"]}
         return [tup.derive(out, self._out_bytes)]

@@ -197,13 +197,22 @@ def circularity(patch: np.ndarray) -> float:
 # re-request the same frames, which made redundant rendering one of the
 # largest CPU sinks of a full sweep.
 #
+# All three app families read it: BCP counts blobs, SignalGuru reads the
+# colour and shape of its brightest blob, and EdgeML's first partition
+# embeds the frame as a pooled feature vector.
+#
 # Rendered gray images are large (~150 KB), so that cache stays small; the
 # derived-result caches are tiny tuples and can be generous.  There is no
 # colour cache: the colour detectors read two numbers off the gray frame
-# (see :func:`_flat_color`) and never render RGB.
+# (see :func:`channel_maxima`) and never render RGB.
 
 _IMAGE_CACHE_SIZE = 32
 _RESULT_CACHE_SIZE = 1 << 16
+#: EdgeML embeddings.  An entry (16 float64s, the array header, the
+#: FrameSpec key, the cache link) measures ~0.54 KB under tracemalloc
+#: (CPython 3.11, numpy 2.4): ~1.6 MiB when full, under 4 MiB even at
+#: 1.3 KB an entry, and room for a whole edgeml-split-sweep (459 frames).
+_EMBEDDING_CACHE_SIZE = 3072
 
 
 @lru_cache(maxsize=_IMAGE_CACHE_SIZE)
@@ -280,9 +289,29 @@ def brightest_blob(
     return cy, cx, circularity(patch)
 
 
+@lru_cache(maxsize=_EMBEDDING_CACHE_SIZE)
+def pooled_features(spec: FrameSpec) -> np.ndarray:
+    """Render a frame and average-pool it into a 16-vector (read-only).
+
+    A 4x4 grid of block means over the grayscale render — the input
+    embedding EdgeML's first partition feeds the network.  Brighter
+    blocks mean more targets, so the vector genuinely carries the class
+    signal.  It renders with plain :func:`render_gray`, so EdgeML frames
+    never evict the images SignalGuru's colour/shape pair re-reads.
+    """
+    img, _centers = render_gray(spec)
+    h, w = img.shape
+    gh, gw = h // 4, w // 4
+    pooled = img[: gh * 4, : gw * 4].reshape(4, gh, 4, gw).mean(axis=(1, 3))
+    feat = pooled.reshape(-1).astype(np.float64)
+    feat.setflags(write=False)
+    return feat
+
+
 def clear_vision_caches() -> None:
     """Drop all memoized rendering/detection results (tests, memory)."""
     render_gray_cached.cache_clear()
+    pooled_features.cache_clear()
     count_blobs.cache_clear()
     channel_maxima.cache_clear()
     brightest_blob.cache_clear()

@@ -88,6 +88,16 @@ def test_pooled_features_reflect_target_count():
     assert busy.sum() > quiet.sum()
 
 
+def test_partition_stage_mean_equals_numpy_mean():
+    """``PartitionStage`` averages its activation as ``sum / size``: the
+    same pairwise sum and IEEE divide as ``ndarray.mean``."""
+    rng = np.random.default_rng(2026)
+    for scale in (1e-300, 1e-3, 1.0, 1e3, 1e300):
+        for _ in range(2000):
+            feat = rng.standard_normal(FEATURE_DIM) * scale
+            assert float(feat.sum()) / feat.size == float(feat.mean())
+
+
 def test_partition_stage_transforms_and_tracks_state():
     stage = PartitionStage("F0", layers=[0, 1, 2], weight_bytes=1024,
                            out_tensor_bytes=2048, cost_s=0.1)

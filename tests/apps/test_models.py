@@ -1,6 +1,11 @@
 """Tests for BCP's statistical models and SignalGuru's signal model."""
 
+import math
+
+import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from repro.apps.bcp.models import (
     AlightingModel,
@@ -8,6 +13,7 @@ from repro.apps.bcp.models import (
     BoardingModel,
     CapacityModel,
     OnlineStats,
+    clip,
 )
 from repro.apps.signalguru.signal_model import TrafficSignal
 
@@ -87,3 +93,28 @@ def test_traffic_signal_time_to_transition():
 def test_traffic_signal_validation():
     with pytest.raises(ValueError):
         TrafficSignal(red_s=0)
+
+
+def _same_float(a, b):
+    """Equal as IEEE values: NaN matches NaN, and -0.0 differs from 0.0."""
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+_BOUNDS = st.sampled_from([(0.0, 1.0), (-0.0, 1.0), (0.0, 60.0), (0.0, 0.0), (-0.0, 0.0)])
+
+
+@given(x=st.floats(allow_nan=True, allow_infinity=True), bounds=_BOUNDS)
+@example(x=0.0, bounds=(0.0, 1.0))
+@example(x=-0.0, bounds=(0.0, 1.0))
+@example(x=-0.0, bounds=(-0.0, 0.0))
+@example(x=0.0, bounds=(-0.0, 0.0))
+@example(x=math.nan, bounds=(0.0, 1.0))
+@example(x=math.inf, bounds=(0.0, 60.0))
+@example(x=-math.inf, bounds=(0.0, 60.0))
+def test_clip_equals_numpy_clip(x, bounds):
+    lo, hi = bounds
+    got = clip(x, lo, hi)
+    assert type(got) is float
+    assert _same_float(got, float(np.clip(x, lo, hi)))

@@ -161,3 +161,42 @@ def test_sliding_box_sums_equal_box_sum_gather(shape, win, stride):
     sums, ys, xs = sliding_box_sums(ii, win, stride)
     y0, x0 = ys[:, None], xs[None, :]
     assert np.array_equal(sums, box_sum(ii, y0, x0, y0 + win, x0 + win))
+
+
+# -- the memoized EdgeML embedding ---------------------------------------------
+def _fresh_embedding(spec):
+    img, _centers = render_gray(spec)
+    h, w = img.shape
+    gh, gw = h // 4, w // 4
+    pooled = img[: gh * 4, : gw * 4].reshape(4, gh, 4, gw).mean(axis=(1, 3))
+    return pooled.reshape(-1).astype(np.float64)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    size=st.sampled_from([(160, 120), (80, 60), (64, 48), (40, 32)]),
+    n_targets=st.integers(0, 4),
+)
+def test_pooled_features_equal_fresh_render(seed, size, n_targets):
+    spec = FrameSpec(seed=seed, width=size[0], height=size[1], n_targets=n_targets)
+    feat = vision.pooled_features(spec)
+    expected = _fresh_embedding(spec)
+    assert feat.dtype == np.float64 and feat.shape == (16,)
+    assert feat.tobytes() == expected.tobytes()
+    assert vision.pooled_features(spec) is feat
+
+
+def test_pooled_features_are_read_only():
+    feat = vision.pooled_features(FrameSpec(seed=11, n_targets=2))
+    with pytest.raises(ValueError):
+        feat[0] = 1.0
+    with pytest.raises(ValueError):
+        feat += 1.0
+
+
+def test_clear_vision_caches_empties_the_embedding_cache():
+    vision.pooled_features(FrameSpec(seed=12, n_targets=1))
+    assert vision.pooled_features.cache_info().currsize > 0
+    vision.clear_vision_caches()
+    assert vision.pooled_features.cache_info().currsize == 0
