@@ -24,8 +24,9 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 import numpy as np
 
+from repro.net import wifi as wifi_net
 from repro.net.packet import Message
-from repro.net.wifi import DRAW_BLOCK_FRAGS, Unreachable, WifiCell
+from repro.net.wifi import Unreachable, WifiCell
 from repro.util.bitmaps import bitmap_bytes
 from repro.util.units import KB
 
@@ -119,7 +120,9 @@ def _merge(have: np.ndarray, rows: Any, cols: np.ndarray, got: np.ndarray,
            n_blocks: int) -> None:
     """``have[rows]`` |= ``got``, where ``have`` is packed over all
     ``n_blocks`` blocks and ``got`` over the sorted blocks ``cols`` only;
-    ``rows`` may be ``slice(None)``."""
+    ``rows`` may be ``slice(None)``.  A partial round widens ``got`` a
+    row chunk at a time, at most :data:`repro.net.wifi.DRAW_BLOCK_FRAGS`
+    unpacked blocks per chunk: the loss draw's budget, read per call."""
     if cols.size == n_blocks:  # a fleet-sized cell misses every block somewhere
         if isinstance(rows, slice):
             have |= got
@@ -131,7 +134,7 @@ def _merge(have: np.ndarray, rows: Any, cols: np.ndarray, got: np.ndarray,
     # read that zero) and repack.
     src = np.full(n_blocks, cols.size)
     src[cols] = np.arange(cols.size)
-    step = max(1, DRAW_BLOCK_FRAGS // n_blocks)
+    step = max(1, wifi_net.DRAW_BLOCK_FRAGS // n_blocks)
     for row in range(0, len(got), step):
         bits = np.unpackbits(got[row:row + step], axis=1, count=cols.size + 1,
                              bitorder="little")
@@ -174,7 +177,6 @@ def broadcast_checkpoint(
     members = [m for m in wifi.iter_members() if m != sender]
     if not members:
         return outcome
-    row_of = {m: row for row, m in enumerate(members)}
     have = np.zeros((len(members), (n_blocks + 7) // 8), dtype=np.uint8)
     # A row holding every block, and the set bits of each byte value.
     full = np.packbits(np.ones(n_blocks, dtype=bool), bitorder="little")
@@ -201,6 +203,7 @@ def broadcast_checkpoint(
             _merge(have, slice(None), missing, result.bitmaps, n_blocks)
         else:
             # Churn since the wave began: map the round's rows onto ours.
+            row_of = {m: row for row, m in enumerate(members)}
             heard = [i for i, m in enumerate(result.receivers) if m in row_of]
             rows = [row_of[result.receivers[i]] for i in heard]
             _merge(have, rows, missing, result.bitmaps[heard], n_blocks)
@@ -250,9 +253,10 @@ def broadcast_checkpoint(
     # Final phase: reliable TCP through the relay tree.  Each tree edge
     # carries the union of the blocks still missing in the subtree below.
     rows = live_rows()
-    present = members if isinstance(rows, slice) else [members[r] for r in rows]
-    if present and missing.size:
-        relay = [sender] + present
+    present_rows = range(len(members)) if isinstance(rows, slice) else rows
+    if present_rows and missing.size:
+        # relay[i] for i >= 1 is the member in row present_rows[i - 1].
+        relay = [sender] + [members[r] for r in present_rows]
         # The tree over positions in ``relay``: children sit after their
         # parent, so one reverse pass folds every subtree.  need[i] is
         # the blocks missing somewhere under relay[i], packed like have
@@ -281,7 +285,7 @@ def broadcast_checkpoint(
                 outcome.tcp_bytes += nbytes
                 if ft_bytes is not None:
                     ft_bytes.add(nbytes)
-                have[row_of[relay[child]]] = full
+                have[present_rows[child - 1]] = full
 
     for member, done in zip(members, (have == full).all(axis=1).tolist()):
         outcome.complete[member] = done and wifi.is_member(member)

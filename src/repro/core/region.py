@@ -142,8 +142,13 @@ class Region:
         self.telemetry: Optional[Any] = None
         #: Links currently in urgent (cellular) mode: {(src_node, dst_node)}.
         self.urgent_links: Set[Tuple[str, str]] = set()
-        #: Phones that already filed a chronic-battery self-report.
+        #: Phones that already filed a chronic-battery self-report
+        #: (object backend).
         self._battery_reported: Set[str] = set()
+        #: The fleet backend's form of ``_battery_reported``: a mask over
+        #: fleet indices, so a battery tick drops already-reported phones
+        #: in numpy instead of visiting each one.
+        self._battery_flagged = np.zeros(0, dtype=bool)
         #: Vectorized device backend, when the system runs one (see
         #: :class:`repro.device.fleet.Fleet`).  The phones dict then holds
         #: FleetPhone proxies and the battery loop runs as batch sweeps.
@@ -624,14 +629,12 @@ class Region:
         Returns None when the region lacks sufficient phones.
         """
         busy = set(self.placement.used_nodes()) - set(gone)
-        candidates = [pid for pid in self.idle_ids if self.phones[pid].alive
-                      and self.wifi.is_member(pid) and pid not in busy]
-        mapping: Dict[str, str] = {}
-        for failed in gone:
-            if not candidates:
-                return None
-            mapping[failed] = candidates.pop(0)
-        return mapping
+        candidates = (pid for pid in self.idle_ids if self.phones[pid].alive
+                      and self.wifi.is_member(pid) and pid not in busy)
+        picked = list(itertools.islice(candidates, len(gone)))
+        if len(picked) < len(gone):
+            return None
+        return dict(zip(gone, picked))
 
     def promote_replacement(self, failed: str, replacement: str) -> None:
         """Bind ``replacement`` to all of ``failed``'s operators."""
@@ -747,6 +750,7 @@ class Region:
         flags (newly dead, newly critical) are visited in Python, in
         ascending fleet-index order — the same order the per-object loop
         reaches them, since region membership iterates in creation order.
+        Critical phones that already reported are dropped in numpy first.
         """
         fleet = self._fleet
         while not self.stopped:
@@ -757,7 +761,13 @@ class Region:
                     dtype=np.int64,
                     count=len(self.phones),
                 )
+                grow = len(fleet) - len(self._battery_flagged)
+                if grow > 0:
+                    self._battery_flagged = np.concatenate(
+                        (self._battery_flagged, np.zeros(grow, dtype=bool)))
+            flagged = self._battery_flagged
             dead, critical = fleet.sweep_battery(self._fleet_idx, tick)
+            critical = critical[~flagged[critical]]
             if not (dead.size or critical.size):
                 continue
             dead_list, crit_list = dead.tolist(), critical.tolist()
@@ -778,9 +788,7 @@ class Region:
                     i = crit_list[ci]
                     ci += 1
                     pid = fleet.id_at(i)
-                    if pid in self._battery_reported:
-                        continue
-                    self._battery_reported.add(pid)
+                    flagged[i] = True
                     self.trace.record(
                         self.sim.now, "battery_critical", region=self.name, phone=pid,
                         fraction=fleet.phone_at(i).battery.fraction,

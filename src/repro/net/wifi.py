@@ -75,10 +75,13 @@ class WifiConfig:
 
 
 #: Row-block size of the uniform-loss draw, in fragments: a round samples
-#: at most this many uniforms at a time (8 MiB of float64) however many
-#: receivers the cell has.  PCG64 fills arrays row-major, so blocking
-#: does not change which double lands on which (receiver, fragment).
-DRAW_BLOCK_FRAGS = 1 << 20
+#: at most this many uniforms at a time (1 MiB of float64, about an L2
+#: cache) however many receivers the cell has.  PCG64 fills arrays
+#: row-major, so blocking does not change which double lands on which
+#: (receiver, fragment).  The earlier 8 MiB block set the peak RSS of a
+#: fleet-sized broadcast and its compare pass ran out of cache; a cell of
+#: a few receivers still draws in one call.
+DRAW_BLOCK_FRAGS = 1 << 17
 
 
 @dataclass

@@ -14,11 +14,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.checkpoint.broadcast import (
     BroadcastOutcome,
     BroadcastSettings,
     RoundStats,
+    _merge,
     _subtree_members,
     broadcast_checkpoint,
     relay_tree,
@@ -250,6 +253,54 @@ def test_blocked_draw_equals_per_member_draw(monkeypatch, block_size,
     assert cell._rng.bit_generator.state == twin._rng.bit_generator.state
 
 
+@st.composite
+def merge_cases(draw):
+    """A cumulative ``have`` matrix, one round's ``got`` over a sorted
+    block subset ``cols``, the rows it lands on (``slice(None)`` or a
+    list of distinct rows of a larger ``have``) and a chunk size."""
+    n_blocks = draw(st.integers(1, 70))
+    cols = np.array(sorted(draw(st.sets(st.integers(0, n_blocks - 1),
+                                        min_size=1))))
+    n_got = draw(st.integers(1, 12))
+    if draw(st.booleans()):
+        rows, n_have = slice(None), n_got
+    else:
+        n_have = n_got + draw(st.integers(0, 6))
+        rows = draw(st.permutations(range(n_have)))[:n_got]
+    seed = draw(st.integers(0, 2**32 - 1))
+    rows_per_chunk = draw(st.integers(1, n_got))
+    return n_blocks, cols, n_have, rows, seed, rows_per_chunk
+
+
+@settings(max_examples=120, deadline=None)
+@given(merge_cases())
+def test_chunked_merge_equals_one_shot_merge(case):
+    """``_merge`` widens a partial round a row chunk at a time, the chunk
+    sized from the draw budget it reads per call: any chunk size — one
+    row, ragged, everything at once — gives the bits of one unpacked
+    ``have[rows, cols] |= got``."""
+    n_blocks, cols, n_have, rows, seed, rows_per_chunk = case
+    gen = np.random.default_rng(seed)
+    hit = np.arange(n_have)[rows]
+    have_bits = gen.random((n_have, n_blocks)) < 0.5
+    got_bits = gen.random((hit.size, cols.size)) < 0.5
+    want = have_bits.copy()
+    want[np.ix_(hit, cols)] |= got_bits
+
+    def merged(budget):
+        have = np.packbits(have_bits, axis=1, bitorder="little")
+        got = np.packbits(got_bits, axis=1, bitorder="little")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(wifi_mod, "DRAW_BLOCK_FRAGS", budget)
+            _merge(have, rows, cols, got, n_blocks)
+        return have
+
+    chunked = merged(rows_per_chunk * n_blocks)
+    assert np.array_equal(chunked, merged(n_have * n_blocks))
+    assert np.array_equal(
+        chunked, np.packbits(want, axis=1, bitorder="little"))
+
+
 # -- (b) work counts ---------------------------------------------------------------
 class CountingRng:
     """Delegates to a Generator, counting ``random`` calls."""
@@ -289,23 +340,24 @@ def one_round(cell, sim, n_blocks, block_size=KB):
     return proc.value
 
 
-@pytest.mark.parametrize("n_receivers,n_blocks,expected_draws", [
-    (7, 300, 1),           # an 8-phone cell: one draw
-    (1500, 700, 2),        # 1 497 rows a block: one full block and a stub
-    (1500, 12_000, 18),    # 87 rows a block
-    (300, 1 << 20, 300),   # a row as long as the block: one row at a time
+@pytest.mark.parametrize("n_receivers,n_blocks", [
+    (7, 300),           # an 8-phone cell: one draw
+    (1500, 700),        # a fleet cell: full row blocks and a stub
+    (1500, 12_000),     # a fleet wave's first round: many short blocks
+    (300, 1 << 20),     # a row as long as the block: one row at a time
 ])
-def test_one_rng_call_per_row_block(monkeypatch, n_receivers, n_blocks,
-                                    expected_draws):
+def test_one_rng_call_per_row_block(monkeypatch, n_receivers, n_blocks):
     sim, cell = make_cell(n_receivers)
     cell._rng = CountingRng(cell._rng)
     if n_blocks == 1 << 20:  # keep the big-row case cheap: shrink the block
         monkeypatch.setattr(wifi_mod, "DRAW_BLOCK_FRAGS", 1 << 10)
         n_blocks = 1 << 10
+    # 1 KB blocks are one fragment each: a row is n_blocks uniforms.
+    rows_per_block = max(1, wifi_mod.DRAW_BLOCK_FRAGS // n_blocks)
     counting = CountingNumpy()
     monkeypatch.setattr(wifi_mod, "np", counting)
     one_round(cell, sim, n_blocks)
-    assert cell._rng.random_calls == expected_draws
+    assert cell._rng.random_calls == math.ceil(n_receivers / rows_per_block)
     assert counting.reduceat_calls == 0  # 1 KB blocks: one fragment each
 
 
@@ -320,9 +372,9 @@ def test_reduceat_runs_once_per_row_block_only_when_fragmented(monkeypatch):
 
 def test_fleet_round_peak_memory_is_bitmaps_plus_one_draw_block():
     """1 500 receivers x 12 000 blocks: the bit-packed matrix (2.1 MiB),
-    one 8 MiB block of uniforms and its 1 MiB of bools — not a byte per
-    (receiver, block) (a 17.2 MiB bool matrix), let alone the 137 MiB
-    float matrix of a single draw."""
+    one 1 MiB block of uniforms and its 117 KiB of bools (3.6 MiB traced)
+    — not a byte per (receiver, block) (a 17.2 MiB bool matrix), let
+    alone the 137 MiB float matrix of a single draw."""
     sim, cell = make_cell(1500)
     tracemalloc.start()
     try:
@@ -331,13 +383,14 @@ def test_fleet_round_peak_memory_is_bitmaps_plus_one_draw_block():
     finally:
         tracemalloc.stop()
     assert result.bitmaps.shape == (1500, 1500)
-    assert peak < 16 * 2**20, f"round peaked at {peak / 2**20:.1f} MiB"
+    assert peak < 6 * 2**20, f"round peaked at {peak / 2**20:.1f} MiB"
 
 
 def test_fleet_wave_peak_memory_is_one_bit_per_block():
     """A whole wave of 12 000 blocks to 1 500 receivers — every UDP round,
     the bitmap queries and the relay tree — holds its reception state as
-    packed bits: a byte per (receiver, block) reads ~66 MiB here."""
+    packed bits (6.8 MiB traced): a byte per (receiver, block) reads
+    ~66 MiB here."""
     sim, cell = make_cell(1500)
     tracemalloc.start()
     try:
@@ -347,4 +400,4 @@ def test_fleet_wave_peak_memory_is_one_bit_per_block():
     finally:
         tracemalloc.stop()
     assert proc.value.n_blocks == 12_000 and proc.value.all_complete
-    assert peak < 32 * 2**20, f"wave peaked at {peak / 2**20:.1f} MiB"
+    assert peak < 12 * 2**20, f"wave peaked at {peak / 2**20:.1f} MiB"

@@ -1,6 +1,10 @@
 """Integration tests for node runtime + region mechanics."""
 
+from types import SimpleNamespace
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.baselines import NoFaultTolerance
 from repro.core.app import AppSpec
@@ -11,6 +15,7 @@ from repro.core.operator import (
     SourceOperator,
 )
 from repro.core.placement import Placement
+from repro.core.region import Region
 from repro.core.system import MobiStreamsSystem, SystemConfig
 
 
@@ -169,6 +174,52 @@ def test_pick_replacements_exhausted():
     s.run(1.0)
     region = s.regions[0]
     assert region.pick_replacements(["region0.p0", "region0.p1"]) is None
+
+
+def eager_pick_replacements(region, gone):
+    """Every eligible idle phone listed first, then one popped per failure."""
+    busy = set(region.placement.used_nodes()) - set(gone)
+    candidates = [pid for pid in region.idle_ids if region.phones[pid].alive
+                  and region.wifi.is_member(pid) and pid not in busy]
+    mapping = {}
+    for failed in gone:
+        if not candidates:
+            return None
+        mapping[failed] = candidates.pop(0)
+    return mapping
+
+
+PHONE_IDS = [f"p{i}" for i in range(10)]
+
+
+@st.composite
+def replacement_states(draw):
+    """A region's replacement inputs: idle list order, liveness, WiFi
+    membership, busy phones, and a ``gone`` list that may repeat phones
+    or outnumber the supply."""
+    idle = draw(st.lists(st.sampled_from(PHONE_IDS), unique=True))
+    alive = {pid: draw(st.booleans()) for pid in PHONE_IDS}
+    members = draw(st.sets(st.sampled_from(PHONE_IDS)))
+    busy = draw(st.lists(st.sampled_from(PHONE_IDS), unique=True))
+    gone = draw(st.lists(st.sampled_from(PHONE_IDS), max_size=8))
+    region = SimpleNamespace(
+        idle_ids=idle,
+        phones={pid: SimpleNamespace(alive=alive[pid]) for pid in PHONE_IDS},
+        wifi=SimpleNamespace(is_member=members.__contains__),
+        placement=SimpleNamespace(used_nodes=lambda: list(busy)),
+    )
+    return region, gone
+
+
+@settings(max_examples=300, deadline=None)
+@given(replacement_states())
+def test_pick_replacements_equals_eager_reference(state):
+    region, gone = state
+    want = eager_pick_replacements(region, gone)
+    got = Region.pick_replacements(region, gone)
+    assert got == want
+    if got is not None:
+        assert list(got.items()) == list(want.items())
 
 
 def test_metrics_warmup_window():

@@ -6,6 +6,7 @@ trigger proactive handoff under MobiStreams; empty batteries crash the
 phone like any failure.
 """
 
+from collections import Counter
 
 from repro.baselines import NoFaultTolerance
 from repro.checkpoint import MobiStreamsScheme
@@ -122,3 +123,76 @@ def test_low_capacity_fleet_fails_organically():
     sys_ = MobiStreamsSystem(cfg, PipelineApp(), NoFaultTolerance)
     sys_.run(400.0)
     assert any(True for _ in sys_.trace.select("battery_dead"))
+
+
+# Phones parked below the 3 % chronic threshold half a tick before the
+# given battery tick (5 s ticks), plus one left to die at tick 4.
+PARKED = {1: ["region0.idle0", "region0.idle1"], 3: ["region0.idle2", "M2"],
+          6: ["region0.idle3", "region0.idle4"]}
+DYING = (4, "region0.idle5")
+TICKS = 12
+
+
+def _parked_battery_run(backend, monkeypatch=None):
+    """Run the pipeline with PARKED/DYING applied on one device backend;
+    returns the system and, on the fleet backend, per-tick counts of
+    ``Fleet.id_at`` calls and of critical phones the sweep returned."""
+    from repro.core.system import MobiStreamsSystem, SystemConfig
+
+    cfg = SystemConfig(n_regions=1, phones_per_region=4, idle_per_region=8,
+                       master_seed=5, device_backend=backend)
+    sys_ = MobiStreamsSystem(cfg, PipelineApp(), NoFaultTolerance)
+    sys_.start()
+    region = sys_.regions[0]
+    tick = region.config.battery_tick_s
+    for at, phones in PARKED.items():
+        for pid in phones:
+            if pid == "M2":
+                pid = region.placement.node_for("M2", 0)
+            sys_.sim.call_at((at - 0.5) * tick, drain_phone, sys_, pid, 0.02)
+    sys_.sim.call_at((DYING[0] - 0.5) * tick, drain_phone, sys_, DYING[1], 1e-7)
+    id_at_calls, swept_critical = Counter(), Counter()
+    if backend == "fleet":
+        fleet = sys_.fleet
+        id_at, sweep = fleet.id_at, fleet.sweep_battery
+
+        def counting_id_at(index):
+            id_at_calls[sys_.sim.now] += 1
+            return id_at(index)
+
+        def counting_sweep(indices, seconds):
+            dead, critical = sweep(indices, seconds)
+            swept_critical[sys_.sim.now] += critical.size
+            return dead, critical
+
+        monkeypatch.setattr(fleet, "id_at", counting_id_at)
+        monkeypatch.setattr(fleet, "sweep_battery", counting_sweep)
+    sys_.run(TICKS * tick + 1.0)
+    return sys_, id_at_calls, swept_critical
+
+
+def _battery_records(sys_):
+    return [r for r in sys_.trace.records
+            if r.category in ("battery_critical", "battery_dead")]
+
+
+def test_fleet_battery_tick_visits_only_newly_flagged_phones(monkeypatch):
+    """Parked phones stay critical tick after tick, yet the fleet loop
+    looks up a phone id only when it is newly critical or dead: the
+    already-reported ones are masked out in numpy."""
+    sys_, id_at_calls, swept_critical = _parked_battery_run("fleet", monkeypatch)
+    records = _battery_records(sys_)
+    critical = [r.data["phone"] for r in records if r.category == "battery_critical"]
+    k = sum(len(phones) for phones in PARKED.values())
+    assert len(critical) == len(set(critical)) == k
+    assert [r.data["phone"] for r in records if r.category == "battery_dead"] == [DYING[1]]
+    assert id_at_calls == Counter(r.time for r in records)
+    # Not vacuous: the sweep kept returning every parked phone.
+    assert sum(swept_critical.values()) > 3 * k
+
+
+def test_fleet_battery_records_match_object_backend(monkeypatch):
+    fleet_sys, _calls, _swept = _parked_battery_run("fleet", monkeypatch)
+    object_sys, _calls, _swept = _parked_battery_run("object")
+    assert _battery_records(fleet_sys) == _battery_records(object_sys)
+    assert _battery_records(object_sys)
