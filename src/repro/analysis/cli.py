@@ -1,8 +1,7 @@
-"""The ``repro lint`` command.
+"""The ``repro lint`` command (its flags are declared in :mod:`repro.cli`).
 
-Exit codes: 0 — clean against the baseline; 1 — new findings (or
-``parse-error``/``spec-invalid``); 2 — usage errors (unknown rule, bad
-baseline file).
+Exit codes: 0 — no findings; 1 — findings (including ``parse-error``
+and ``spec-invalid``); 2 — a path that does not exist.
 """
 
 from __future__ import annotations
@@ -11,50 +10,10 @@ import argparse
 import json
 import os
 import sys
-from typing import List, Tuple
+from typing import List
 
-from repro.analysis import rules  # noqa: F401  (registers the catalog)
-from repro.analysis.baseline import (
-    default_baseline_path,
-    diff_against,
-    load_baseline,
-    write_baseline,
-)
-from repro.analysis.core import Finding, all_rules, lint_paths
+from repro.analysis.core import RULES, Finding, lint_paths
 from repro.analysis.speclint import SPEC_RULES, lint_spec_file
-
-
-def configure_parser(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "paths", nargs="*", default=None, metavar="PATH",
-        help="files/directories to lint; .json files are checked as "
-             "ScenarioSpec files (default: src)")
-    parser.add_argument(
-        "--rule", action="append", default=None, metavar="RULE",
-        help="run only this rule (repeatable; see --list-rules)")
-    parser.add_argument(
-        "--format", choices=("table", "json"), default="table",
-        help="report format (default: table)")
-    parser.add_argument(
-        "--baseline", default=None, metavar="FILE",
-        help="baseline file (default: nearest lint-baseline.json)")
-    parser.add_argument(
-        "--no-baseline", action="store_true",
-        help="ignore any baseline; every finding fails the run")
-    parser.add_argument(
-        "--write-baseline", action="store_true",
-        help="write the current findings as the new baseline and exit 0")
-    parser.add_argument(
-        "--list-rules", action="store_true",
-        help="list the rule catalog and exit")
-
-
-def _split_paths(paths: List[str]) -> Tuple[List[str], List[str]]:
-    """(python paths, spec-json paths)."""
-    py, specs = [], []
-    for path in paths:
-        (specs if path.endswith(".json") else py).append(path)
-    return py, specs
 
 
 def _print_table(findings: List[Finding], stream) -> None:
@@ -67,70 +26,30 @@ def _print_table(findings: List[Finding], stream) -> None:
 
 def cmd_lint(args: argparse.Namespace) -> int:
     if args.list_rules:
-        for rule in all_rules():
-            print(f"{rule.name:<20} [{rule.family}] {rule.description}")
+        for rule in RULES:
+            print(f"{rule.name:<22} {rule.description}")
         for name in SPEC_RULES:
-            print(f"{name:<20} [spec] see `repro lint <spec>.json`")
+            print(f"{name:<22} see `repro lint <spec>.json`")
         return 0
-
-    # --rule names may be Python rules or spec rules; route each to its
-    # engine, reject names known to neither.
-    try:
-        if args.rule:
-            rules_selected = all_rules(
-                [r for r in args.rule if r not in SPEC_RULES])
-        else:
-            rules_selected = None
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
     paths = args.paths or ["src"]
     missing = [p for p in paths if not os.path.exists(p)]
     if missing:
         print(f"error: no such path: {', '.join(missing)}", file=sys.stderr)
         return 2
-    py_paths, spec_paths = _split_paths(paths)
-
-    findings: List[Finding] = []
-    if py_paths:
-        findings.extend(lint_paths(py_paths, rules_selected))
-    spec_rule_filter = set(args.rule or SPEC_RULES) & set(SPEC_RULES)
-    for spec_path in spec_paths:
-        findings.extend(f for f in lint_spec_file(spec_path)
-                        if f.rule in spec_rule_filter)
+    findings = lint_paths(p for p in paths if not p.endswith(".json"))
+    for path in paths:
+        if path.endswith(".json"):
+            findings.extend(lint_spec_file(path))
     findings.sort(key=Finding.sort_key)
 
-    baseline_path = args.baseline or default_baseline_path()
-    if args.write_baseline:
-        target = args.baseline or baseline_path or "lint-baseline.json"
-        write_baseline(target, findings)
-        print(f"wrote {len(findings)} finding(s) to {target}")
-        return 0
-
-    baseline = None
-    if not args.no_baseline and baseline_path:
-        try:
-            baseline = load_baseline(baseline_path)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    new = findings if baseline is None else diff_against(findings, baseline)[0]
-    known = len(findings) - len(new)
-
     if args.format == "json":
-        report = {
-            "baseline": baseline_path if baseline is not None else None,
-            "total": len(findings),
-            "known": known,
-            "new": [f.to_dict() for f in new],
-        }
+        report = {"total": len(findings),
+                  "findings": [f.to_dict() for f in findings]}
         print(json.dumps(report, indent=2, sort_keys=True))
+    elif findings:
+        _print_table(findings, sys.stdout)
+        print(f"{len(findings)} finding(s)")
     else:
-        if new:
-            _print_table(new, sys.stdout)
-        summary = f"{len(new)} new finding(s)"
-        if known:
-            summary += f", {known} known from baseline"
-        print(summary if findings else "clean: no findings")
-    return 1 if new else 0
+        print("clean: no findings")
+    return 1 if findings else 0

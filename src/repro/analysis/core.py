@@ -1,38 +1,19 @@
-"""The lint framework: findings, the rule registry, and the engine.
-
-The moving parts mirror the app/scheme registries: rules are classes
-registered under a stable kebab-case name (:func:`register_rule`),
-looked up with the same unknown-name-lists-the-known-names ValueError
-(:func:`get_rule`), and instantiated fresh per run (:func:`all_rules`).
+"""The lint framework, its two rules, and the engine.
 
 A rule sees one file at a time through a :class:`FileContext` — the
 parsed AST, the raw source lines, and the *module path* (the
-``repro/...`` suffix), which is what project-aware scoping keys on.
-Findings carry a content-based fingerprint (rule, module path, stripped
-source line) so the committed baseline survives unrelated line churn.
-
-Per-line suppression::
-
-    risky_thing()  # repro-lint: disable=rule-name
-    risky_thing()  # repro-lint: disable=rule-a,rule-b
-    risky_thing()  # repro-lint: disable=all
-
-The comment must sit on the *reported* line (for a multi-line
-statement, the line the finding points at).
+``repro/...`` suffix) that findings report.  :data:`RULES` is the whole
+catalog: ``wall-clock`` and ``observer-purity``, the two bug classes
+that change timing or scheduling without changing a row, so the golden
+tests cannot see them.
 """
 
 from __future__ import annotations
 
 import ast
 import os
-import re
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Type
-
-#: Rule families, in catalog order.
-FAMILIES = ("determinism", "api-contract", "observer-purity")
-
-_SUPPRESS_RE = re.compile(r"#\s*repro-lint:\s*disable=([A-Za-z0-9_, \-]+)")
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 
 @dataclass(frozen=True)
@@ -44,14 +25,9 @@ class Finding:
     line: int
     col: int
     message: str
-    #: The stripped source line (fingerprint material; "" for JSON specs).
+    #: The stripped source line ("" for JSON specs, which carry a
+    #: descriptor such as ``key=telemetry`` instead).
     code: str = ""
-
-    @property
-    def fingerprint(self) -> str:
-        """Content-based identity for baseline matching: stable across
-        unrelated edits that only shift line numbers."""
-        return f"{self.rule}|{self.path}|{self.code}"
 
     def sort_key(self) -> Tuple[str, int, int, str]:
         return (self.path, self.line, self.col, self.rule)
@@ -71,87 +47,21 @@ class Finding:
 class FileContext:
     """Everything a rule may inspect about one source file."""
 
-    def __init__(self, path: str, relpath: str, source: str,
-                 tree: ast.Module) -> None:
-        self.path = path
+    def __init__(self, relpath: str, source: str, tree: ast.Module) -> None:
         self.relpath = relpath
-        self.source = source
         self.lines = source.splitlines()
         self.tree = tree
-
-    def code(self, lineno: int) -> str:
-        """The stripped source text of 1-based ``lineno`` ("" if out of
-        range — defensive for synthetic nodes)."""
-        if 1 <= lineno <= len(self.lines):
-            return self.lines[lineno - 1].strip()
-        return ""
 
     def finding(self, rule: str, node: ast.AST, message: str) -> Finding:
         """A finding anchored at ``node``'s location."""
         line = getattr(node, "lineno", 1)
         col = getattr(node, "col_offset", 0)
+        code = self.lines[line - 1].strip() if 1 <= line <= len(self.lines) else ""
         return Finding(rule=rule, path=self.relpath, line=line, col=col,
-                       message=message, code=self.code(line))
+                       message=message, code=code)
 
 
-class Rule:
-    """Base class for lint rules.
-
-    Subclasses set ``name`` (the stable rule ID used in ``--rule`` /
-    ``disable=`` / the baseline), ``family`` (one of :data:`FAMILIES`),
-    and ``description``, and implement :meth:`check`.
-    """
-
-    name: str = ""
-    family: str = ""
-    description: str = ""
-
-    def check(self, ctx: FileContext) -> List[Finding]:
-        raise NotImplementedError
-
-
-_RULES: Dict[str, Type[Rule]] = {}
-
-
-def register_rule(cls: Type[Rule]) -> Type[Rule]:
-    """Class decorator: add a rule to the registry under ``cls.name``."""
-    if not cls.name:
-        raise ValueError(f"rule class {cls.__name__} needs a name")
-    if cls.family not in FAMILIES:
-        raise ValueError(
-            f"rule {cls.name!r} has unknown family {cls.family!r}; "
-            f"expected one of {', '.join(FAMILIES)}"
-        )
-    if cls.name in _RULES:
-        raise ValueError(f"rule {cls.name!r} is already registered")
-    _RULES[cls.name] = cls
-    return cls
-
-
-def rule_names() -> List[str]:
-    """Registered rule IDs, catalog order (family, then name)."""
-    return [cls.name for cls in sorted(
-        _RULES.values(), key=lambda c: (FAMILIES.index(c.family), c.name))]
-
-
-def get_rule(name: str) -> Type[Rule]:
-    """One rule class; unknown names raise listing the known IDs."""
-    try:
-        return _RULES[name]
-    except KeyError:
-        known = ", ".join(rule_names())
-        raise ValueError(
-            f"unknown lint rule {name!r}; known rules: {known}"
-        ) from None
-
-
-def all_rules(names: Optional[Sequence[str]] = None) -> List[Rule]:
-    """Fresh instances of the selected (default: all) rules."""
-    selected = names if names is not None else rule_names()
-    return [get_rule(name)() for name in selected]
-
-
-# -- import/alias resolution helpers -------------------------------------
+# -- AST helpers ------------------------------------------------------------
 
 class ImportMap:
     """Resolves local names to the dotted module paths they alias.
@@ -177,9 +87,10 @@ class ImportMap:
                     local = alias.asname or alias.name
                     self.aliases[local] = f"{node.module}.{alias.name}"
 
-    def resolve(self, node: ast.AST) -> Optional[str]:
-        """The fully-resolved dotted path of a Name/Attribute chain, or
-        None when the chain is not rooted at a plain name."""
+    def resolve_call(self, call: ast.Call) -> Optional[str]:
+        """The fully-resolved dotted path of a call's target, or None
+        when the target is not a Name/Attribute chain."""
+        node = call.func
         parts: List[str] = []
         while isinstance(node, ast.Attribute):
             parts.append(node.attr)
@@ -193,22 +104,6 @@ class ImportMap:
             parts[0] = root
         return ".".join(parts)
 
-    def resolve_call(self, call: ast.Call) -> Optional[str]:
-        """The resolved dotted path of a call's target."""
-        return self.resolve(call.func)
-
-
-def attr_chain(node: ast.AST) -> Optional[str]:
-    """Unresolved dotted text of a Name/Attribute chain (``self.x.y``)."""
-    parts: List[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
-
 
 def is_self_attr(node: ast.AST) -> Optional[str]:
     """``self.X`` -> ``"X"``; anything else -> None."""
@@ -219,54 +114,232 @@ def is_self_attr(node: ast.AST) -> Optional[str]:
     return None
 
 
-def class_methods(cls: ast.ClassDef) -> Dict[str, ast.FunctionDef]:
-    """The class's directly-defined methods by name (async included)."""
-    out: Dict[str, ast.FunctionDef] = {}
-    for stmt in cls.body:
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            out[stmt.name] = stmt  # type: ignore[assignment]
+# -- the rules ----------------------------------------------------------------
+
+#: Wall-clock reads (resolved dotted names).  ``time.perf_counter`` /
+#: ``time.monotonic`` are the sanctioned interval clocks.
+_WALL_CLOCK_CALLS = frozenset({
+    "time.asctime",
+    "time.ctime",
+    "time.gmtime",
+    "time.localtime",
+    "time.time",
+    "time.time_ns",
+    "datetime.datetime.now",
+    "datetime.datetime.today",
+    "datetime.datetime.utcnow",
+    "datetime.date.today",
+})
+
+
+class WallClockRule:
+    """Wall-clock reads: ``time.time()`` / ``datetime.now()`` and kin.
+
+    Simulation, checkpoint, and verification code must be a function of
+    sim-time only; harness code timing real intervals wants
+    ``time.perf_counter()`` / ``time.monotonic()``.  A wall-clock
+    interval (say a fuzz budget) jumps with NTP and DST, so it changes
+    how far a run gets without changing any row the goldens hash.
+    """
+
+    name = "wall-clock"
+    description = ("wall-clock read; use time.perf_counter()/"
+                   "monotonic() for intervals")
+
+    def check(self, ctx: FileContext) -> List[Finding]:
+        imports = ImportMap(ctx.tree)
+        findings = []
+        for node in ast.walk(ctx.tree):
+            if not isinstance(node, ast.Call):
+                continue
+            resolved = imports.resolve_call(node)
+            if resolved in _WALL_CLOCK_CALLS:
+                findings.append(ctx.finding(
+                    self.name, node,
+                    f"{resolved}() reads the wall clock; use "
+                    "time.perf_counter()/monotonic() for intervals, or "
+                    "thread a timestamp in explicitly"))
+        return findings
+
+
+#: The simulator's scheduling/mutation surface: calling any of these
+#: from a Trace-observer callback breaks the observes-only contract.
+SCHEDULER_API = frozenset({
+    "call_at",
+    "call_every",
+    "call_in",
+    "fail",
+    "interrupt",
+    "process",
+    "schedule",
+    "succeed",
+    "timeout",
+    "trigger",
+})
+
+
+def _self_attr_values(node: ast.AST) -> Set[str]:
+    """Every ``self.X`` attr name referenced anywhere under ``node``."""
+    out: Set[str] = set()
+    for sub in ast.walk(node):
+        attr = is_self_attr(sub)
+        if attr is not None:
+            out.add(attr)
     return out
 
 
-def decorator_names(cls: ast.ClassDef) -> List[str]:
-    """Textual names of a class's decorators (calls unwrapped)."""
-    names = []
-    for dec in cls.decorator_list:
-        target = dec.func if isinstance(dec, ast.Call) else dec
-        chain = attr_chain(target)
-        if chain:
-            names.append(chain)
-    return names
+class ObserverPurityRule:
+    """Scheduler/RNG calls reachable from a Trace-observer callback.
 
+    ``Trace.add_observer`` callbacks run synchronously inside the
+    simulator's hot loop.  Telemetry and ``--verify`` must not change a
+    run, which holds only if those callbacks never touch the scheduler
+    or the RNG.  A no-op ``call_in`` from an observer adds events
+    without changing a row, so only this rule sees it.  The rule walks
+    the *callback closure* — the registered method, every
+    ``self.helper()`` it reaches, and every handler a dispatch-table
+    attribute points at — and flags scheduler/RNG calls inside it.
+    """
 
-def is_dataclass(cls: ast.ClassDef) -> bool:
-    return any(name.split(".")[-1] == "dataclass" for name in decorator_names(cls))
+    name = "observer-purity"
+    description = ("Trace observer callback calls scheduler/RNG APIs; "
+                   "observers must be observe-only")
 
-
-# -- suppression ----------------------------------------------------------
-
-def suppressions(source: str) -> Dict[int, set]:
-    """Per-line suppressed rule sets: ``{lineno: {"rule", ...}}``."""
-    table: Dict[int, set] = {}
-    for i, line in enumerate(source.splitlines(), start=1):
-        match = _SUPPRESS_RE.search(line)
-        if match:
-            table[i] = {part.strip() for part in match.group(1).split(",")
-                        if part.strip()}
-    return table
-
-
-def apply_suppressions(findings: List[Finding], source: str) -> List[Finding]:
-    table = suppressions(source)
-    if not table:
+    def check(self, ctx: FileContext) -> List[Finding]:
+        imports = ImportMap(ctx.tree)
+        findings = []
+        for node in ast.walk(ctx.tree):
+            if isinstance(node, ast.ClassDef):
+                findings.extend(self._check_class(ctx, node, imports))
         return findings
-    kept = []
-    for f in findings:
-        rules = table.get(f.line)
-        if rules and ("all" in rules or f.rule in rules):
-            continue
-        kept.append(f)
-    return kept
+
+    def _check_class(self, ctx: FileContext, cls: ast.ClassDef,
+                     imports: ImportMap) -> List[Finding]:
+        methods = {stmt.name: stmt for stmt in cls.body
+                   if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))}
+        if not methods:
+            return []
+        handler_attrs = self._handler_table_attrs(cls, methods)
+        entries = self._registered_entries(cls, methods, handler_attrs)
+        if not entries:
+            return []
+        closure = self._closure(entries, methods, handler_attrs)
+        findings = []
+        for name in sorted(closure):
+            findings.extend(
+                self._check_method(ctx, cls, methods[name], imports))
+        return findings
+
+    # -- closure construction --------------------------------------------
+
+    @staticmethod
+    def _handler_table_attrs(cls: ast.ClassDef,
+                             methods: Dict[str, ast.FunctionDef],
+                             ) -> Dict[str, Set[str]]:
+        """``self.X = {...: self.m}`` dispatch tables: attr -> methods."""
+        tables: Dict[str, Set[str]] = {}
+        for node in ast.walk(cls):
+            if not isinstance(node, ast.Assign):
+                continue
+            if not isinstance(node.value, (ast.Dict, ast.List, ast.Tuple)):
+                continue
+            referenced = {m for m in _self_attr_values(node.value)
+                          if m in methods}
+            if not referenced:
+                continue
+            for target in node.targets:
+                attr = is_self_attr(target)
+                if attr is not None:
+                    tables.setdefault(attr, set()).update(referenced)
+        return tables
+
+    @staticmethod
+    def _registered_entries(cls: ast.ClassDef,
+                            methods: Dict[str, ast.FunctionDef],
+                            handler_attrs: Dict[str, Set[str]]) -> Set[str]:
+        """Methods handed to ``*.add_observer(...)`` (directly or via a
+        dispatch-table attribute passed as an argument)."""
+        entries: Set[str] = set()
+        for node in ast.walk(cls):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if not (isinstance(func, ast.Attribute)
+                    and func.attr == "add_observer"):
+                continue
+            values = list(node.args) + [kw.value for kw in node.keywords]
+            for value in values:
+                attr = is_self_attr(value)
+                if attr is None:
+                    continue
+                if attr in methods:
+                    entries.add(attr)
+                entries.update(handler_attrs.get(attr, ()))
+        return entries
+
+    @staticmethod
+    def _closure(entries: Set[str], methods: Dict[str, ast.FunctionDef],
+                 handler_attrs: Dict[str, Set[str]]) -> Set[str]:
+        """Transitive ``self.m()`` / dispatch-table reachability."""
+        closure: Set[str] = set()
+        work = sorted(entries)
+        while work:
+            name = work.pop()
+            if name in closure or name not in methods:
+                continue
+            closure.add(name)
+            for node in ast.walk(methods[name]):
+                called = None
+                if isinstance(node, ast.Call):
+                    called = is_self_attr(node.func)
+                if called and called in methods:
+                    work.append(called)
+                # A referenced dispatch table pulls in its handlers.
+                attr = is_self_attr(node)
+                if attr and attr in handler_attrs:
+                    work.extend(handler_attrs[attr])
+        return closure
+
+    # -- purity check ----------------------------------------------------
+
+    def _check_method(self, ctx: FileContext, cls: ast.ClassDef,
+                      method: ast.FunctionDef,
+                      imports: ImportMap) -> List[Finding]:
+        findings = []
+        for node in ast.walk(method):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if isinstance(func, ast.Attribute):
+                receiver_is_self = (isinstance(func.value, ast.Name)
+                                    and func.value.id == "self")
+                if func.attr in SCHEDULER_API and not receiver_is_self:
+                    findings.append(ctx.finding(
+                        self.name, node,
+                        f"observer callback {cls.name}.{method.name}() "
+                        f"calls scheduler API .{func.attr}(); Trace "
+                        "observers must be observe-only"))
+                    continue
+                if func.attr == "stream" and not receiver_is_self:
+                    findings.append(ctx.finding(
+                        self.name, node,
+                        f"observer callback {cls.name}.{method.name}() "
+                        "draws from an RNG stream; Trace observers must "
+                        "be observe-only"))
+                    continue
+            resolved = imports.resolve_call(node) or ""
+            parts = resolved.split(".")
+            if parts[0] == "random" or parts[:2] == ["numpy", "random"]:
+                findings.append(ctx.finding(
+                    self.name, node,
+                    f"observer callback {cls.name}.{method.name}() "
+                    "calls the RNG; Trace observers must be observe-only"))
+        return findings
+
+
+#: The rule catalog, in ``--list-rules`` order.  A rule has a ``name``,
+#: a ``description`` and ``check(ctx) -> List[Finding]``.
+RULES = (WallClockRule(), ObserverPurityRule())
 
 
 # -- the engine -----------------------------------------------------------
@@ -274,8 +347,7 @@ def apply_suppressions(findings: List[Finding], source: str) -> List[Finding]:
 def module_relpath(path: str) -> str:
     """The stable module path of a file: the ``repro/...`` suffix when
     the file lives under the package, else the path as given (posix
-    separators, leading ``./`` stripped) — what fingerprints and
-    project-aware scoping key on."""
+    separators, leading ``./`` stripped)."""
     norm = path.replace(os.sep, "/")
     parts = norm.split("/")
     for i in range(len(parts) - 1, -1, -1):
@@ -302,28 +374,20 @@ def iter_python_files(paths: Iterable[str]) -> Iterator[str]:
     return iter(sorted(dict.fromkeys(seen)))
 
 
-def lint_source(
-    source: str,
-    relpath: str,
-    rules: Optional[Sequence[Rule]] = None,
-    path: Optional[str] = None,
-) -> List[Finding]:
+def lint_source(source: str, relpath: str) -> List[Finding]:
     """Lint one source string as though it lived at ``relpath``.
 
-    The unit the fixture tests drive: path-scoped rules see ``relpath``,
-    so a fixture can impersonate any module of the tree.  Raises
-    SyntaxError for unparseable source.
+    The unit the fixture tests drive.  Raises SyntaxError for
+    unparseable source.
     """
-    tree = ast.parse(source, filename=path or relpath)
-    ctx = FileContext(path or relpath, relpath, source, tree)
+    ctx = FileContext(relpath, source, ast.parse(source, filename=relpath))
     findings: List[Finding] = []
-    for rule in (rules if rules is not None else all_rules()):
+    for rule in RULES:
         findings.extend(rule.check(ctx))
-    return sorted(apply_suppressions(findings, source),
-                  key=Finding.sort_key)
+    return sorted(findings, key=Finding.sort_key)
 
 
-def lint_file(path: str, rules: Optional[Sequence[Rule]] = None) -> List[Finding]:
+def lint_file(path: str) -> List[Finding]:
     """Lint one file (see :func:`lint_source`); unreadable or
     unparseable files produce a single ``parse-error`` finding."""
     relpath = module_relpath(path)
@@ -334,20 +398,16 @@ def lint_file(path: str, rules: Optional[Sequence[Rule]] = None) -> List[Finding
         return [Finding(rule="parse-error", path=relpath, line=1, col=0,
                         message=f"cannot read file: {exc}")]
     try:
-        return lint_source(source, relpath, rules, path=path)
+        return lint_source(source, relpath)
     except SyntaxError as exc:
         return [Finding(rule="parse-error", path=relpath,
                         line=exc.lineno or 1, col=exc.offset or 0,
                         message=f"syntax error: {exc.msg}")]
 
 
-def lint_paths(
-    paths: Iterable[str],
-    rules: Optional[Sequence[Rule]] = None,
-) -> List[Finding]:
+def lint_paths(paths: Iterable[str]) -> List[Finding]:
     """Lint every Python file under ``paths``; findings in stable order."""
-    rules = list(rules) if rules is not None else all_rules()
     findings: List[Finding] = []
     for path in iter_python_files(paths):
-        findings.extend(lint_file(path, rules))
+        findings.extend(lint_file(path))
     return sorted(findings, key=Finding.sort_key)

@@ -10,8 +10,8 @@ existing ``late_events()`` path.
 
 Spec findings use the same :class:`Finding` shape as Python findings;
 since JSON has no useful line numbers after parsing, the ``code`` field
-(fingerprint material) carries a descriptor like ``events[3] kind=fail
-t=1200.0`` instead of a source line.
+carries a descriptor like ``event kind=fail t=1200.0`` instead of a
+source line.
 """
 
 from __future__ import annotations

@@ -390,8 +390,7 @@ class MobiStreamsScheme(FaultToleranceScheme):
         yield self.sim.timeout(region.config.wifi_rebuild_s)
 
         # 3. The departed phone unregisters with the controller.
-        region.cellular.unregister(phone_id)
-        region.phones.pop(phone_id, None)
+        region.unregister_phone(phone_id)
         self.trace.record(
             self.sim.now, "departure_state_transfer", region=region.name,
             departed=phone_id, replacement=replacement, size=size,

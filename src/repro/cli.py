@@ -36,11 +36,10 @@ Commands
     minimal reproducer that re-triggers via
     ``scenario run <file> --verify``.
 ``lint``
-    Project-aware static analysis (see :mod:`repro.analysis`): walk the
-    tree's ASTs with the determinism / API-contract / observer-purity
-    rule catalog, gate on the committed
-    ``lint-baseline.json`` (fail only on *new* findings), or check
-    ScenarioSpec JSON files statically (``lint path/to/spec.json``).
+    Static analysis (see :mod:`repro.analysis`): walk the tree's ASTs
+    with the ``wall-clock`` and ``observer-purity`` rules (non-zero exit
+    on any finding), or check ScenarioSpec JSON files statically
+    (``lint path/to/spec.json``).
 ``info``
     List the available applications, schemes, and the paper's reference
     numbers.
@@ -301,10 +300,15 @@ def build_parser() -> argparse.ArgumentParser:
                                   "(default <spec>.min.json)")
 
     lint_p = sub.add_parser(
-        "lint", help="project-aware static analysis (determinism, API "
-                     "contracts, observer purity)")
-    from repro.analysis.cli import configure_parser as _configure_lint
-    _configure_lint(lint_p)
+        "lint", help="static analysis (wall clock, observer purity) and "
+                     "ScenarioSpec file checks")
+    lint_p.add_argument("paths", nargs="*", default=None, metavar="PATH",
+                        help="files/directories to lint; .json files are "
+                             "checked as ScenarioSpec files (default: src)")
+    lint_p.add_argument("--format", choices=("table", "json"), default="table",
+                        help="report format (default: table)")
+    lint_p.add_argument("--list-rules", action="store_true",
+                        help="list the rule catalog and exit")
 
     sub.add_parser("info", help="list apps, schemes, paper numbers")
     return parser

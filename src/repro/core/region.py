@@ -614,12 +614,18 @@ class Region:
             # An idle node leaving just unregisters and wipes its copies.
             self.idle_ids.remove(phone_id)
             phone.storage.wipe()
-            self.cellular.unregister(phone_id)
-            self.phones.pop(phone_id, None)
-            self._fleet_idx = None
+            self.unregister_phone(phone_id)
             return
         if self.controller is not None:
             self.controller.on_departure_report(self, phone_id)
+
+    def unregister_phone(self, phone_id: str) -> None:
+        """A departed phone leaves the controller's books: it unregisters
+        from cellular and drops out of ``phones`` and of the fleet
+        battery sweep, which indexes ``phones`` at its next tick."""
+        self.cellular.unregister(phone_id)
+        self.phones.pop(phone_id, None)
+        self._fleet_idx = None
 
     def pick_replacements(self, gone: List[str]) -> Optional[Dict[str, str]]:
         """Choose healthy phones to take over ``gone``'s operators.

@@ -2,15 +2,18 @@
 file and greps for the expected rule IDs.  Never imported by anything.
 """
 
-import random
 import time
-
-
-def jitter() -> float:
-    # unseeded-rng: process-global stream.
-    return random.random()
 
 
 def stamp() -> float:
     # wall-clock: host clock leaks into output.
     return time.time()
+
+
+class Watcher:
+    def start(self) -> None:
+        self.trace.add_observer(self.observe)
+
+    def observe(self, rec) -> None:
+        # observer-purity: an observer schedules simulator events.
+        self.sim.call_in(0.0, self.start)

@@ -1,8 +1,11 @@
 """Observer-purity rule: the callback closure must stay observe-only."""
 
+import pathlib
 import textwrap
 
 from repro.analysis import lint_source
+
+SRC = pathlib.Path(__file__).resolve().parents[2] / "src"
 
 
 def findings(source, relpath="repro/telemetry/fixture.py"):
@@ -109,3 +112,20 @@ def test_quiet_for_non_observer_class_calling_scheduler():
                 self.sim.call_in(0.0, self.kick)
         """)
     assert hits == []
+
+
+def test_fires_on_the_telemetry_call_in_plant():
+    """The rule's ledger plant: the live telemetry monitor's checkpoint
+    handler schedules a no-op event.  Rows stay byte-identical, so the
+    goldens pass; only this rule sees the observer touch the scheduler."""
+    relpath = "repro/telemetry/monitor.py"
+    source = (SRC / relpath).read_text(encoding="utf-8")
+    anchor = "            st.checkpoints_committed += 1\n"
+    assert source.count(anchor) == 1
+    assert findings(source, relpath) == []
+    planted = source.replace(
+        anchor, anchor + "        self.sim.call_in(0.0, lambda: None)\n")
+    hits = findings(planted, relpath)
+    assert len(hits) == 1
+    assert "QoSMonitor._on_checkpoint_complete()" in hits[0].message
+    assert hits[0].code == "self.sim.call_in(0.0, lambda: None)"

@@ -1,4 +1,4 @@
-"""Self-hosting: the tree must lint clean against the committed baseline.
+"""Self-hosting: the tree must lint clean.
 
 This is the same check CI's lint-smoke job runs; keeping it in the
 test suite means a violation fails `pytest` locally before a push.
@@ -6,41 +6,20 @@ test suite means a violation fails `pytest` locally before a push.
 
 import os
 
-from repro.analysis import (
-    default_baseline_path,
-    diff_against,
-    lint_paths,
-    load_baseline,
-)
+from repro.analysis import lint_paths
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))))
+FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
 
-def test_src_is_clean_against_committed_baseline():
-    baseline_path = os.path.join(REPO_ROOT, "lint-baseline.json")
-    assert os.path.isfile(baseline_path), "lint-baseline.json must be committed"
-    baseline = load_baseline(baseline_path)
+def test_src_lints_clean():
     findings = lint_paths([os.path.join(REPO_ROOT, "src")])
-    new, _ = diff_against(findings, baseline)
-    assert new == [], "new lint findings:\n" + "\n".join(
-        f"{f.path}:{f.line} {f.rule} {f.message}" for f in new)
-
-
-def test_committed_baseline_is_empty():
-    # The satellite contract: all debt was paid in this PR.  If a later
-    # PR must baseline a finding, it should consciously relax this.
-    baseline = load_baseline(os.path.join(REPO_ROOT, "lint-baseline.json"))
-    assert sum(baseline.values()) == 0
-
-
-def test_default_baseline_discovery_finds_repo_root():
-    found = default_baseline_path(start=os.path.dirname(__file__))
-    assert found == os.path.join(REPO_ROOT, "lint-baseline.json")
+    assert findings == [], "lint findings:\n" + "\n".join(
+        f"{f.path}:{f.line} {f.rule} {f.message}" for f in findings)
 
 
 def test_violation_fixture_fires_expected_rules():
-    fixtures = os.path.join(os.path.dirname(__file__), "fixtures")
-    findings = lint_paths([os.path.join(fixtures, "seeded_violation.py")])
-    assert {f.rule for f in findings} == {"unseeded-rng", "wall-clock"}
-    assert lint_paths([os.path.join(fixtures, "clean.py")]) == []
+    findings = lint_paths([os.path.join(FIXTURES, "seeded_violation.py")])
+    assert {f.rule for f in findings} == {"observer-purity", "wall-clock"}
+    assert lint_paths([os.path.join(FIXTURES, "clean.py")]) == []

@@ -62,16 +62,7 @@ def test_unparseable_and_unloadable_specs(tmp_path, base_spec):
 def test_cli_routes_json_paths_to_spec_lint(tmp_path, base_spec, capsys):
     base_spec["events"] = [{"kind": "surge", "time": 600.0, "region": 0}]
     path = _write(tmp_path, base_spec)
-    assert main(["lint", path, "--no-baseline", "--format", "json"]) == 1
+    assert main(["lint", path, "--format", "json"]) == 1
     report = json.loads(capsys.readouterr().out)
-    assert report["new"][0]["rule"] == "spec-late-event"
+    assert report["findings"][0]["rule"] == "spec-late-event"
 
-
-def test_cli_spec_rule_filter(tmp_path, base_spec, capsys):
-    base_spec["events"] = [{"kind": "surge", "time": 600.0, "region": 0}]
-    base_spec["telemetry"] = None
-    path = _write(tmp_path, base_spec)
-    assert main(["lint", path, "--no-baseline", "--rule",
-                 "spec-noncanonical-key", "--format", "json"]) == 1
-    report = json.loads(capsys.readouterr().out)
-    assert {f["rule"] for f in report["new"]} == {"spec-noncanonical-key"}

@@ -138,11 +138,12 @@ def test_bench_quick_matches_golden(capsys, artifact):
 
 
 def test_cli_import_loads_no_bench_module():
-    """Cold start: the paper artifacts load only when a command needs
-    them, never at CLI import."""
+    """Cold start: the paper artifacts and the linter load only when a
+    command needs them, never at CLI import or parser build."""
     src = pathlib.Path(__file__).resolve().parents[2] / "src"
-    code = ("import sys, repro.cli; print(sorted(m for m in sys.modules "
-            "if m.split('.')[:2] == ['repro', 'bench']))")
+    code = ("import sys, repro.cli; repro.cli.build_parser(); "
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[:2] in (['repro', 'bench'], ['repro', 'analysis'])))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, check=True,
                           env={"PYTHONPATH": str(src), "PATH": "/usr/bin:/bin"})

@@ -131,20 +131,34 @@ PARKED = {1: ["region0.idle0", "region0.idle1"], 3: ["region0.idle2", "M2"],
           6: ["region0.idle3", "region0.idle4"]}
 DYING = (4, "region0.idle5")
 TICKS = 12
+# Under ms-8 the phone hosting M1 departs at tick 1.5 (its state handoff
+# finishes before tick 5) and is parked below the threshold at tick 9.
+DEPARTURE = (1.5, "M1", 9)
 
 
-def _parked_battery_run(backend, monkeypatch=None):
-    """Run the pipeline with PARKED/DYING applied on one device backend;
-    returns the system and, on the fleet backend, per-tick counts of
-    ``Fleet.id_at`` calls and of critical phones the sweep returned."""
+def _parked_battery_run(backend, monkeypatch=None, departure=None):
+    """Run the pipeline with PARKED/DYING (and, under ms-8, a DEPARTURE)
+    applied on one device backend; returns the system and, on the fleet
+    backend, per-tick counts of ``Fleet.id_at`` calls and of critical
+    phones the sweep returned."""
     from repro.core.system import MobiStreamsSystem, SystemConfig
 
     cfg = SystemConfig(n_regions=1, phones_per_region=4, idle_per_region=8,
                        master_seed=5, device_backend=backend)
-    sys_ = MobiStreamsSystem(cfg, PipelineApp(), NoFaultTolerance)
+    scheme = NoFaultTolerance if departure is None else MobiStreamsScheme
+    sys_ = MobiStreamsSystem(cfg, PipelineApp(), scheme)
     sys_.start()
     region = sys_.regions[0]
     tick = region.config.battery_tick_s
+    if departure is not None:
+        at, op, parked_at = departure
+        gone = region.phones[region.placement.node_for(op, 0)]
+        sys_.sim.call_at(at * tick, sys_.apply_departure, gone.id)
+
+        def park_departed():
+            gone.battery.remaining_j = gone.battery.config.capacity_j * 0.02
+
+        sys_.sim.call_at((parked_at - 0.5) * tick, park_departed)
     for at, phones in PARKED.items():
         for pid in phones:
             if pid == "M2":
@@ -196,3 +210,18 @@ def test_fleet_battery_records_match_object_backend(monkeypatch):
     object_sys, _calls, _swept = _parked_battery_run("object")
     assert _battery_records(fleet_sys) == _battery_records(object_sys)
     assert _battery_records(object_sys)
+
+
+def test_departed_phone_leaves_the_fleet_battery_sweep(monkeypatch):
+    """An ms-8 departure handoff drops the phone from the fleet sweep, as
+    the object backend's walk over ``region.phones`` already does: a
+    departed phone that runs low reports nothing."""
+    fleet_sys, _calls, _swept = _parked_battery_run(
+        "fleet", monkeypatch, departure=DEPARTURE)
+    object_sys, _calls, _swept = _parked_battery_run(
+        "object", departure=DEPARTURE)
+    handoff = fleet_sys.trace.last("departure_state_transfer")
+    assert handoff.time < (DEPARTURE[2] - 0.5) * fleet_sys.regions[0].config.battery_tick_s
+    records = _battery_records(fleet_sys)
+    assert handoff.data["departed"] not in {r.data["phone"] for r in records}
+    assert records == _battery_records(object_sys)
