@@ -9,6 +9,6 @@ cases through the scenario engine (:mod:`repro.scenarios`):
 * :mod:`repro.bench.fig10`  — preservation + checkpoint data volumes.
 * :mod:`repro.bench.ablation` — design-choice sweeps beyond the paper.
 
-``python -m repro bench all`` (or ``python -m repro.bench.run_all``)
-prints every artifact, paper values alongside measured ones.
+``python -m repro bench all`` prints every artifact, paper values
+alongside measured ones.
 """

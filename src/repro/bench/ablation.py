@@ -282,7 +282,7 @@ def sweep_checkpoint_period(
 
 # -- reports -----------------------------------------------------------------------
 def report() -> str:
-    """All ablations as text tables (mirrors ``repro.bench.run_all``)."""
+    """All ablations as text tables (as ``python -m repro bench all`` prints them)."""
     sections = []
 
     rows = broadcast_vs_unicast()
@@ -336,7 +336,3 @@ def report() -> str:
         title="Ablation — checkpoint period (steady cost vs catch-up)",
     ))
     return "\n\n".join(sections)
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(report())

@@ -67,9 +67,3 @@ def report(cases: ResultSet) -> str:
             rows, title=f"Fig. 10 — {app_name} (relative to ms-8 = 1)",
         ))
     return "\n\n".join(sections)
-
-
-if __name__ == "__main__":  # pragma: no cover
-    from repro.bench.fig8 import run_fig8
-
-    print(report(run_fig8()))

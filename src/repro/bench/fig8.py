@@ -78,7 +78,3 @@ def report(cases: ResultSet) -> str:
         ))
         sections.append(fig8_chart(rel, app_name, SCHEME_ORDER))
     return "\n\n".join(sections)
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(report(run_fig8()))

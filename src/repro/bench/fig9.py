@@ -98,7 +98,3 @@ def report(app_names=("bcp", "signalguru"), duration_s: float = 900.0,
         sections.append(fig9_chart(curves, app_name, "throughput"))
         sections.append(fig9_chart(curves, app_name, "latency"))
     return "\n\n".join(sections)
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(report())

@@ -151,7 +151,3 @@ def report(duration_s: float = 900.0) -> str:
             rows, title=f"Table I — {app_name}",
         ))
     return "\n\n".join(sections)
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(report())

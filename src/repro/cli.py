@@ -7,7 +7,8 @@ Commands
     fault injections, and get a metrics report.
 ``bench``
     Regenerate a paper artifact (``table1``/``fig8``/``fig9``/``fig10``/
-    ``ablation``) — thin wrapper over :mod:`repro.bench.run_all`.
+    ``ablation``) or ``all`` of them, paper values alongside measured
+    ones (:mod:`repro.bench`).
 ``scenario``
     The scenario engine: ``list`` the named library, ``show`` a spec as
     JSON, ``run`` a scenario's matrix serially, or ``sweep`` it across
@@ -366,10 +367,8 @@ def cmd_run(args) -> int:
 def cmd_bench(args) -> int:
     from repro.bench import run_all
 
-    argv = ["--quick"] if args.quick else []
-    if args.artifact != "all":
-        argv += ["--only", args.artifact]
-    return run_all.main(argv)
+    run_all.run_all(args.artifact, args.quick)
+    return 0
 
 
 def _load_spec_arg(name: str):

@@ -15,11 +15,9 @@ Layering (bottom-up):
 * :mod:`repro.core.region` — one region: phones + WiFi + nodes + router.
 * :mod:`repro.core.controller` — the global (reliable) controller.
 * :mod:`repro.core.system` — the full multi-region deployment.
-* :mod:`repro.core.bootstrap` — the Section III-A startup protocol.
 * :mod:`repro.core.metrics` — throughput/latency extraction from traces.
 """
 
-from repro.core.bootstrap import BootRecord, BootstrapConfig, Bootstrapper
 from repro.core.graph import QueryGraph
 from repro.core.metrics import MetricsReport, compute_metrics
 from repro.core.operator import (
@@ -35,9 +33,6 @@ from repro.core.system import MobiStreamsSystem, SystemConfig
 from repro.core.tuples import StreamTuple, Token
 
 __all__ = [
-    "BootRecord",
-    "BootstrapConfig",
-    "Bootstrapper",
     "MapOperator",
     "MetricsReport",
     "MobiStreamsSystem",

@@ -202,14 +202,6 @@ class Region:
         """Cascade: this region's sink results feed ``region``'s sources."""
         self._downstream.append(region)
 
-    def downstream_regions(self) -> List["Region"]:
-        """Current downstream neighbour regions (cascade order)."""
-        return list(self._downstream)
-
-    def set_downstream_regions(self, regions: List["Region"]) -> None:
-        """Rewire the cascade (bootstrap bypass of a skipped region)."""
-        self._downstream = list(regions)
-
     # -- lifecycle -------------------------------------------------------------
     def start(self) -> None:
         """Boot the region: build nodes, join WiFi, start sources & probes."""
@@ -231,11 +223,8 @@ class Region:
         self.join_cellular(phone_id)
 
     def join_cellular(self, phone_id: str) -> None:
-        """Attach a phone's cellular radio (idempotent).
-
-        Phones have cellular connectivity the moment they enter a region
-        — the staged bootstrap registers them before the DSPS starts.
-        """
+        """Attach a phone's cellular radio (idempotent: a phone already
+        on the cellular network keeps its registration)."""
         if not self.cellular.is_registered(phone_id):
             self.cellular.register_phone(phone_id, self._make_deliver(phone_id))
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.core.app import AppSpec
 from repro.core.controller import Controller, ControllerConfig
@@ -18,7 +18,7 @@ from repro.core.metrics import MetricsReport, compute_metrics
 from repro.core.region import Region, RegionConfig
 from repro.device.failures import FailureInjector
 from repro.device.fleet import Fleet
-from repro.device.mobility import MobilityModel
+from repro.device.mobility import PoissonChurn
 from repro.device.phone import Phone, PhoneConfig
 from repro.net.cellular import CellularConfig, CellularNetwork
 from repro.net.topology import Position, RegionArea
@@ -26,9 +26,6 @@ from repro.net.wifi import WifiCell, WifiConfig
 from repro.sim.core import Simulator
 from repro.sim.monitor import Trace
 from repro.sim.rng import RngRegistry
-
-if TYPE_CHECKING:  # pragma: no cover
-    pass
 
 #: Distance between cascaded regions (far beyond WiFi range).
 REGION_SPACING_M = 500.0
@@ -282,8 +279,8 @@ class MobiStreamsSystem:
             return None
         return self.admit_phone(to_region_index, charge_fraction=charge, config=p_cfg)
 
-    def attach_mobility(self, model: "MobilityModel") -> None:
-        """Arm a mobility model: its departures drive the regions.
+    def attach_mobility(self, model: PoissonChurn) -> None:
+        """Arm a churn model: its departures drive the regions.
 
         The model's ``on_departure`` callback resolves each phone to its
         region and applies the physical departure (WiFi break, GPS
@@ -295,39 +292,19 @@ class MobiStreamsSystem:
     def start(self) -> None:
         """Boot every region immediately and arm the checkpoint clocks.
 
-        This is the instant-start path; :meth:`start_staged` simulates the
-        paper's Section III-A startup protocol instead.
+        The one start path: every phone joins its networks at once, so
+        the paper's Section III-A boot (dwell, controller registration,
+        code shipping) is not simulated.
         """
         if self._started:
             raise RuntimeError("system already started")
         self._started = True
         for region, scheme in zip(self.regions, self.schemes):
             region.start()
-            self.arm_checkpoint_clock(region, scheme)
+            if getattr(scheme, "wants_checkpoint_clock", False):
+                self.controller.start_checkpoint_clock(
+                    region, self.config.checkpoint_period_s)
         self.trace.record(self.sim.now, "system_started", regions=len(self.regions))
-
-    def start_staged(self, bootstrap_config=None, arrivals=None):
-        """Boot through the Section III-A protocol (dwell, registration,
-        threshold, code shipping).  Returns the armed
-        :class:`~repro.core.bootstrap.Bootstrapper`; advance time with
-        :meth:`run` to let the boot proceed."""
-        from repro.core.bootstrap import Bootstrapper
-
-        if self._started:
-            raise RuntimeError("system already started")
-        return Bootstrapper(self, bootstrap_config, arrivals).launch()
-
-    def mark_started(self) -> None:
-        """Claim the one-shot start (used by the staged bootstrap)."""
-        if self._started:
-            raise RuntimeError("system already started")
-        self._started = True
-
-    def arm_checkpoint_clock(self, region: Region, scheme: Any) -> None:
-        """Start the controller's periodic checkpoint clock for schemes
-        that want one (idempotent per region start)."""
-        if getattr(scheme, "wants_checkpoint_clock", False):
-            self.controller.start_checkpoint_clock(region, self.config.checkpoint_period_s)
 
     def attach_telemetry(self, monitor: Any) -> Any:
         """Wire a live QoS monitor into every region (cascade order).

@@ -18,11 +18,6 @@ from repro.device.failures import (
     FailureInjector,
     PhoneFailure,
 )
-from repro.device.mobility import (
-    MobilityModel,
-    ScriptedDepartures,
-    StaticMobility,
-)
 from repro.device.phone import Phone, PhoneConfig
 from repro.device.storage import FlashStorage
 
@@ -35,10 +30,7 @@ __all__ = [
     "FleetBattery",
     "FleetPhone",
     "FlashStorage",
-    "MobilityModel",
     "Phone",
     "PhoneConfig",
     "PhoneFailure",
-    "ScriptedDepartures",
-    "StaticMobility",
 ]

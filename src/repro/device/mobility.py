@@ -1,23 +1,21 @@
-"""Mobility models: when and how phones leave their regions.
+"""Mobility: when phones leave their regions.
 
 Section III-E: a phone physically walking out of WiFi range breaks its
 links; GPS tells the controller the phone is leaving, triggering urgent
-mode, state transfer, and replacement.  The experiments need two shapes:
+mode, state transfer, and replacement.  Scripted departures at chosen
+times (Fig. 9's "n nodes leave simultaneously", Table I's "a phone
+leaves its region every five minutes") are scenario events
+(``EventSpec(kind="depart")``); :class:`PoissonChurn` is the organic
+churn model behind ``EventSpec(kind="churn")``.
 
-* :class:`StaticMobility` — nobody moves (the paper's default scenario).
-* :class:`ScriptedDepartures` — exactly n phones leave at a chosen time
-  (Fig. 9's "n nodes leave simultaneously within one checkpoint period",
-  and Table I's "a phone leaves its region every five minutes").
-
-Models *announce* departures through a callback; the region runtime owns
-the consequences (breaking WiFi membership etc.).
+The model *announces* departures through a callback; the region runtime
+owns the consequences (breaking WiFi membership etc.).
 """
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 import numpy as np
 
@@ -28,51 +26,8 @@ if TYPE_CHECKING:  # pragma: no cover
 DepartureCallback = Callable[[str], None]
 
 
-class MobilityModel(ABC):
-    """Schedules phone movement for one region."""
-
-    @abstractmethod
-    def start(self, sim: "Simulator", on_departure: DepartureCallback) -> None:
-        """Arm the model; call ``on_departure`` whenever a phone leaves."""
-
-
-class StaticMobility(MobilityModel):
-    """No movement at all."""
-
-    def start(self, sim: "Simulator", on_departure: DepartureCallback) -> None:
-        """Nothing to schedule."""
-
-
 @dataclass
-class ScriptedDepartures(MobilityModel):
-    """Phones leave at scripted (time, phone_id) points.
-
-    ``simultaneous(t, ids)`` builds the Fig. 9 scenario where a whole group
-    walks out together (e.g. a bus arrives and n people board it).
-    """
-
-    schedule: Sequence[Tuple[float, str]] = ()
-
-    @classmethod
-    def simultaneous(cls, time: float, phone_ids: Sequence[str]) -> "ScriptedDepartures":
-        """All of ``phone_ids`` leave at ``time``."""
-        return cls(schedule=[(time, pid) for pid in phone_ids])
-
-    @classmethod
-    def periodic(cls, period: float, phone_ids: Sequence[str]) -> "ScriptedDepartures":
-        """One phone leaves every ``period`` seconds (Table I scenario 2)."""
-        return cls(
-            schedule=[(period * (i + 1), pid) for i, pid in enumerate(phone_ids)]
-        )
-
-    def start(self, sim: "Simulator", on_departure: DepartureCallback) -> None:
-        """Schedule every departure on the simulator."""
-        for time, phone_id in self.schedule:
-            sim.call_at(time, lambda pid=phone_id: on_departure(pid))
-
-
-@dataclass
-class PoissonChurn(MobilityModel):
+class PoissonChurn:
     """Organic churn: phones trickle out at exponential intervals.
 
     Rush-hour style mobility — each phone in ``phone_ids`` departs once,

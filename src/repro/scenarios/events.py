@@ -78,8 +78,9 @@ class EventDirector:
             self._scalers[r] = scalers
         for index, ev in enumerate(self.spec.events):
             if ev.kind == "churn":
-                # Per-event seed derivation (same keying as RngRegistry.fork)
-                # so concurrent churn waves draw independent gap sequences.
+                # Per-event seed derivation (master seed keyed by the
+                # event's index) so concurrent churn waves draw
+                # independent gap sequences.
                 self.system.attach_mobility(PoissonChurn(
                     phone_ids=self._phone_ids(ev),
                     mean_interval_s=ev.interval,

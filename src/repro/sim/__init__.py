@@ -5,8 +5,7 @@ for every MobiStreams experiment.  The public surface is:
 
 * :class:`~repro.sim.core.Simulator` — the event loop and virtual clock.
 * :class:`~repro.sim.events.Event`, :class:`~repro.sim.events.Timeout`,
-  :class:`~repro.sim.events.AnyOf`, :class:`~repro.sim.events.AllOf` —
-  awaitable occurrences.
+  :class:`~repro.sim.events.AllOf` — awaitable occurrences.
 * :class:`~repro.sim.process.Process` and
   :class:`~repro.sim.process.Interrupt` — generator-based coroutines.
 * :class:`~repro.sim.resources.Resource` — contended capacity.
@@ -22,7 +21,7 @@ event queue (one binary heap) breaks time ties by insertion order.
 """
 
 from repro.sim.core import Simulator, StopSimulation
-from repro.sim.events import AllOf, AnyOf, Event, Timeout
+from repro.sim.events import AllOf, Event, Timeout
 from repro.sim.monitor import Counter, Trace
 from repro.sim.process import Interrupt, Process
 from repro.sim.resources import Resource
@@ -30,7 +29,6 @@ from repro.sim.rng import RngRegistry
 
 __all__ = [
     "AllOf",
-    "AnyOf",
     "Counter",
     "Event",
     "Interrupt",

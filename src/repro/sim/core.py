@@ -20,7 +20,6 @@ from repro.sim.events import (  # noqa: F401  (NORMAL/URGENT re-exported)
     URGENT,
     _DEAD_DROPPED,
     AllOf,
-    AnyOf,
     Callback,
     Event,
     Timeout,
@@ -30,10 +29,6 @@ from repro.sim.process import Process
 
 class StopSimulation(Exception):
     """Raised internally to end :meth:`Simulator.run` early."""
-
-
-class EmptySchedule(Exception):
-    """Raised by :meth:`Simulator.step` when no events remain."""
 
 
 class Simulator:
@@ -96,10 +91,6 @@ class Simulator:
     def all_of(self, events: Iterable[Event]) -> AllOf:
         """Event that fires when all of ``events`` have succeeded."""
         return AllOf(self, events)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        """Event that fires when any of ``events`` has succeeded."""
-        return AnyOf(self, events)
 
     def call_at(self, time: float, fn: Callable[..., None], *args: Any) -> Event:
         """Run ``fn(*args)`` at absolute virtual ``time`` (>= now)."""
@@ -197,32 +188,6 @@ class Simulator:
         heapq.heapify(self._queue)
         self.dead_entries = 0
 
-    def step(self) -> None:
-        """Process exactly one event; raises :class:`EmptySchedule` if none."""
-        try:
-            self._now, _prio, _seq, event = heapq.heappop(self._queue)
-        except IndexError:
-            raise EmptySchedule() from None
-        self.events_processed += 1
-
-        callbacks, event.callbacks = event.callbacks, None
-        if callbacks is None:
-            # A cancelled entry reaching its deadline: nothing runs, but
-            # it still counts as processed (identical to the pre-cancel
-            # behavior of popping an orphaned timeout).  Clearing the
-            # flag makes a later add_callback fire immediately (expired
-            # timeout) instead of reviving an entry that no longer exists.
-            event._cancelled = False
-            self.dead_entries -= 1
-            return
-        for callback in callbacks:
-            callback(event)
-
-        if event._ok is False and not event._defused:
-            # An un-handled failure: surface it rather than losing it.
-            exc = event._value
-            raise exc
-
     def run(self, until: Optional[float] = None) -> None:
         """Run until the queue drains or the clock reaches ``until``.
 
@@ -234,10 +199,12 @@ class Simulator:
                 raise ValueError(f"until ({until}) is in the past (now={self._now})")
             stopper = self.timeout(until - self._now)
             stopper.add_callback(self._stop_callback)
-        # The event loop is inlined here (rather than calling step() per
-        # event): the method-call overhead, the per-event try/except, and
-        # the repeated attribute lookups are measurable at millions of
-        # events per run.  Semantics are identical to step().
+        # Hot loop: locals instead of attribute lookups, no per-event
+        # method call.  A cancelled entry reaching its deadline runs
+        # nothing but still counts as processed; clearing its flag makes
+        # a later add_callback fire immediately (expired timeout) instead
+        # of reviving an entry that no longer exists.  An un-handled
+        # failure is surfaced rather than lost.
         queue = self._queue
         heappop = heapq.heappop
         try:
@@ -257,19 +224,6 @@ class Simulator:
                 self._now = until
         except StopSimulation:
             pass
-
-    def run_until_event(self, event: Event) -> Any:
-        """Run until ``event`` triggers; returns its value (raises if failed)."""
-        event.add_callback(self._stop_callback)
-        try:
-            while not event.triggered:
-                self.step()
-        except StopSimulation:
-            pass
-        if event._ok is False:
-            event.defuse()
-            raise event._value
-        return event.value
 
     @staticmethod
     def _stop_callback(_event: Event) -> None:

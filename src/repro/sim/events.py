@@ -118,21 +118,6 @@ class Event:
         self.sim._schedule(self)
         return self
 
-    def trigger(self, event: "Event") -> None:
-        """Trigger this event with the state of another (for chaining)."""
-        if event._ok is None:
-            # Without this guard a pending source would fall through to
-            # fail(PENDING) and blow up on the sentinel object with a
-            # baffling TypeError.
-            raise RuntimeError(
-                f"cannot trigger {self!r} from {event!r}: the source event "
-                "is still pending (trigger() copies a *decided* outcome)"
-            )
-        if event._ok:
-            self.succeed(event._value)
-        else:
-            self.fail(event._value)
-
     def add_callback(self, callback: Callable[["Event"], None]) -> None:
         """Attach ``callback``; runs immediately if already processed."""
         if self.callbacks is None:
@@ -262,63 +247,26 @@ class Callback(Timeout):
         sim._push((self.deadline, NORMAL, sim._seq, self))
 
 
-class ConditionValue:
-    """Mapping-like result of a condition: the events that fired, in order."""
+class AllOf(Event):
+    """Composite event that fires when *all* of ``events`` have succeeded.
 
-    __slots__ = ("events",)
-
-    def __init__(self, events: List[Event]) -> None:
-        self.events = events
-
-    def __contains__(self, event: Event) -> bool:
-        return event in self.events
-
-    def __getitem__(self, event: Event) -> Any:
-        if event not in self.events:
-            raise KeyError(event)
-        return event.value
-
-    def __len__(self) -> int:
-        return len(self.events)
-
-    def __iter__(self):
-        return iter(self.events)
-
-    def todict(self) -> dict:
-        """Return ``{event: value}`` for all fired events."""
-        return {event: event.value for event in self.events}
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<ConditionValue {self.todict()!r}>"
-
-
-class Condition(Event):
-    """Composite event over a set of sub-events.
-
-    Fires when ``evaluate(events, n_fired)`` returns True.  Failure of any
-    sub-event fails the condition immediately.
+    Failure of any sub-event fails it immediately (fail-fast).
     """
 
-    __slots__ = ("_events", "_count", "_evaluate")
+    __slots__ = ("_events", "_count")
 
-    def __init__(
-        self,
-        sim: "Simulator",
-        evaluate: Callable[[List[Event], int], bool],
-        events: Iterable[Event],
-    ) -> None:
+    def __init__(self, sim: "Simulator", events: Iterable[Event]) -> None:
         super().__init__(sim)
         self._events = list(events)
         self._count = 0
-        self._evaluate = evaluate
 
         for event in self._events:
             if event.sim is not sim:
                 raise ValueError("events belong to different simulators")
 
-        if not self._events or self._evaluate(self._events, 0):
+        if not self._events:
             # Degenerate condition: trivially true.
-            self.succeed(ConditionValue([]))
+            self.succeed()
             return
 
         for event in self._events:
@@ -333,19 +281,16 @@ class Condition(Event):
             self._detach_pending()
             return
         self._count += 1
-        if self._evaluate(self._events, self._count):
-            fired = [e for e in self._events if e.triggered and e.ok]
-            self.succeed(ConditionValue(fired))
-            self._detach_pending()
+        if self._count == len(self._events):
+            self.succeed()
 
     def _detach_pending(self) -> None:
-        """Stop listening to sub-events once the condition has decided.
+        """Stop listening to sub-events once a sub-event has failed.
 
-        The losers of an AnyOf race would otherwise hold our ``_check``
+        The still-pending sub-events would otherwise hold our ``_check``
         until they fire; a timeout left with no listeners at all is
-        cancelled outright so ghost timers don't accumulate in
-        churn-heavy workloads (each loser formerly occupied the queue
-        until its deadline).
+        cancelled outright so ghost timers don't occupy the queue until
+        their deadlines in churn-heavy workloads.
         """
         for ev in self._events:
             cbs = ev.callbacks
@@ -356,31 +301,3 @@ class Condition(Event):
                     continue
                 if not cbs and isinstance(ev, Timeout):
                     ev.cancel()
-
-    @staticmethod
-    def all_events(events: List[Event], count: int) -> bool:
-        """Evaluator: every sub-event has fired."""
-        return len(events) == count
-
-    @staticmethod
-    def any_events(events: List[Event], count: int) -> bool:
-        """Evaluator: at least one sub-event has fired."""
-        return count > 0 or not events
-
-
-class AllOf(Condition):
-    """Condition that fires when *all* of ``events`` have succeeded."""
-
-    __slots__ = ()
-
-    def __init__(self, sim: "Simulator", events: Iterable[Event]) -> None:
-        super().__init__(sim, Condition.all_events, events)
-
-
-class AnyOf(Condition):
-    """Condition that fires when *any* of ``events`` has succeeded."""
-
-    __slots__ = ()
-
-    def __init__(self, sim: "Simulator", events: Iterable[Event]) -> None:
-        super().__init__(sim, Condition.any_events, events)

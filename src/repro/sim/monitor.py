@@ -5,7 +5,7 @@ failures, recoveries, tuple completions, bytes on each network.  The bench
 harness then derives throughput/latency/data-volume metrics purely from the
 trace, so measurement code never reaches into subsystem internals.
 
-Storage is indexed per category: ``select``/``count_of``/``series`` touch
+Storage is indexed per category: ``select``/``count_of``/``last`` touch
 only the requested category's records (binary-searching the time window
 when records arrived in time order) instead of scanning the whole run —
 metric derivation is O(matches), not O(all records x queries).
@@ -14,7 +14,7 @@ metric derivation is O(matches), not O(all records x queries).
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional
 
 from repro.util.simlog import get_logger
 
@@ -233,34 +233,12 @@ class Trace:
             time_window.get("until", float("inf")),
         )
 
-    def series(
-        self, category: str, key: str, **time_window: float
-    ) -> List[Tuple[float, Any]]:
-        """``(time, record.data[key])`` pairs for matching records."""
-        return [
-            (rec.time, rec.data[key])
-            for rec in self.select(category, **time_window)
-            if key in rec.data
-        ]
-
     def last(self, category: str) -> Optional[TraceRecord]:
         """Most recently *recorded* entry of ``category``, or None."""
         index = self._by_category.get(category)
         if index is None or not index.records:
             return None
         return index.records[-1]
-
-    def clear(self) -> None:
-        """Drop all records; reset every counter to zero.
-
-        Counters are reset *in place* (not discarded): hot paths hold
-        pre-resolved :class:`Counter` handles, and dropping the objects
-        would silently detach those handles from the registry.
-        """
-        self.records.clear()
-        self._by_category.clear()
-        for counter in self.counters.values():
-            counter.value = 0.0
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Trace records={len(self.records)} counters={len(self.counters)}>"

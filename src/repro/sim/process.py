@@ -6,8 +6,7 @@ event's value (or the event's exception is thrown into the generator).
 
 Processes are themselves events: they trigger when the generator returns
 (value = the ``StopIteration`` value) or raises.  This lets processes wait
-on each other and compose with :class:`~repro.sim.events.AllOf` /
-:class:`~repro.sim.events.AnyOf`.
+on each other and compose with :class:`~repro.sim.events.AllOf`.
 
 Interrupts
 ----------

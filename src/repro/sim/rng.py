@@ -45,10 +45,6 @@ class RngRegistry:
             self._streams[name] = gen
         return gen
 
-    def fork(self, sub_seed: int) -> "RngRegistry":
-        """Derive an independent registry (e.g. one per experiment trial)."""
-        return RngRegistry(master_seed=(self.master_seed * 1_000_003 + sub_seed))
-
     def names(self):
         """Names of all streams created so far (for diagnostics)."""
         return sorted(self._streams)

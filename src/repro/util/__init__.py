@@ -1,7 +1,7 @@
 """Shared utilities: units, bitmap arithmetic, statistics, logging."""
 
 from repro.util.bitmaps import bitmap_bytes
-from repro.util.stats import mean, mean_ci, percentile
+from repro.util.stats import mean, mean_ci
 from repro.util.units import (
     GB,
     KB,
@@ -20,6 +20,5 @@ __all__ = [
     "bytes_to_bits",
     "mean",
     "mean_ci",
-    "percentile",
     "transmission_time",
 ]

@@ -15,13 +15,6 @@ def mean(values: Sequence[float]) -> float:
     return float(np.mean(np.asarray(values, dtype=float)))
 
 
-def percentile(values: Sequence[float], q: float) -> float:
-    """The ``q``-th percentile (0..100); NaN for an empty sequence."""
-    if len(values) == 0:
-        return float("nan")
-    return float(np.percentile(np.asarray(values, dtype=float), q))
-
-
 def nearest_rank(sorted_values: Sequence[float], q: float) -> float:
     """Nearest-rank quantile of an ascending non-empty sample: the
     smallest value with at least ``q`` of the sample at or below it.

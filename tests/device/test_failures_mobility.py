@@ -1,8 +1,10 @@
-"""Tests for the failure injector and mobility models."""
+"""Tests for the failure injector and scripted departures."""
 
 import pytest
 
-from repro.device import FailureInjector, ScriptedDepartures, StaticMobility
+from repro.device import FailureInjector
+from repro.scenarios import EventDirector, build_system
+from repro.scenarios.spec import EventSpec, MatrixSpec, ScenarioSpec
 from repro.sim import Simulator, Trace
 
 
@@ -35,25 +37,36 @@ def test_injector_traces():
     assert trace.count_of("failure_injected") == 2
 
 
+def _departures(spec_events):
+    """(time, phone) of every ``phone_departed`` record of a short ms-8
+    run whose script is ``spec_events``."""
+    spec = ScenarioSpec(
+        name="t", duration_s=1000.0, warmup_s=0.0, idle_per_region=4,
+        checkpoint_period_s=60.0, events=tuple(spec_events),
+        matrix=MatrixSpec(apps=("bcp",), schemes=("ms-8",), seeds=(3,)),
+    )
+    system = build_system(spec, "bcp", "ms-8", 3)
+    director = EventDirector(system, spec)
+    director.install()
+    system.start()
+    director.schedule()
+    system.run(spec.duration_s)
+    return [(r.time, r.data["phone"]) for r in system.trace.select("phone_departed")]
+
+
 def test_static_mobility_no_events():
-    sim = Simulator()
-    StaticMobility().start(sim, lambda pid: pytest.fail("no departures expected"))
-    sim.run()
+    assert _departures([]) == []
 
 
 def test_scripted_departures_simultaneous():
-    sim = Simulator()
-    gone = []
-    model = ScriptedDepartures.simultaneous(60.0, ["a", "b"])
-    model.start(sim, lambda pid: gone.append((sim.now, pid)))
-    sim.run()
-    assert gone == [(60.0, "a"), (60.0, "b")]
+    gone = _departures([EventSpec(kind="depart", time=60.0, phones=(1, 2))])
+    assert gone == [(60.0, "region0.p1"), (60.0, "region0.p2")]
 
 
 def test_scripted_departures_periodic():
-    sim = Simulator()
-    gone = []
-    model = ScriptedDepartures.periodic(300.0, ["a", "b", "c"])
-    model.start(sim, lambda pid: gone.append((sim.now, pid)))
-    sim.run()
-    assert gone == [(300.0, "a"), (600.0, "b"), (900.0, "c")]
+    gone = _departures([
+        EventSpec(kind="depart", time=300.0 * (i + 1), phones=(i + 1,))
+        for i in range(3)
+    ])
+    assert gone == [(300.0, "region0.p1"), (600.0, "region0.p2"),
+                    (900.0, "region0.p3")]

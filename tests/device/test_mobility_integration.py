@@ -1,15 +1,13 @@
-"""Tests wiring the mobility models into the full system."""
+"""Tests driving scripted departures through the full system."""
 
 
 from repro.checkpoint import MobiStreamsScheme
-from repro.device.mobility import ScriptedDepartures, StaticMobility
 
 from tests.baselines._harness import build_system, sink_seqs
 
 
 def test_static_mobility_changes_nothing():
     s = build_system(MobiStreamsScheme, period=60.0)
-    s.attach_mobility(StaticMobility())
     s.run(300.0)
     assert not any(True for _ in s.trace.select("phone_departed"))
 
@@ -18,7 +16,7 @@ def test_scripted_departure_drives_the_region():
     s = build_system(MobiStreamsScheme, period=60.0)
     s.start()
     gone = s.regions[0].placement.node_for("M1", 0)
-    s.attach_mobility(ScriptedDepartures(schedule=[(100.0, gone)]))
+    s.sim.call_at(100.0, s.apply_departure, gone)
     s.run(400.0)
     deps = list(s.trace.select("departure_state_transfer"))
     assert len(deps) == 1 and deps[0].data["departed"] == gone
@@ -33,7 +31,8 @@ def test_periodic_departures_rotate_phones():
     s.start()
     m1, m2 = (s.regions[0].placement.node_for("M1", 0),
               s.regions[0].placement.node_for("M2", 0))
-    s.attach_mobility(ScriptedDepartures.periodic(90.0, [m1, m2]))
+    for i, pid in enumerate([m1, m2]):
+        s.sim.call_at(90.0 * (i + 1), s.apply_departure, pid)
     s.run(400.0)
     deps = [r.data["departed"] for r in s.trace.select("departure_state_transfer")]
     assert deps == [m1, m2]
@@ -47,7 +46,8 @@ def test_simultaneous_builder_hits_all_at_once():
     s.start()
     targets = [s.regions[0].placement.node_for("M1", 0),
                s.regions[0].placement.node_for("M2", 0)]
-    s.attach_mobility(ScriptedDepartures.simultaneous(100.0, targets))
+    for pid in targets:
+        s.sim.call_at(100.0, s.apply_departure, pid)
     s.run(400.0)
     departed = [r for r in s.trace.select("phone_departed")]
     assert {r.data["phone"] for r in departed} == set(targets)

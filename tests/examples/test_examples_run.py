@@ -44,13 +44,6 @@ def test_mobility_handoff():
     assert "outcome 'replaced'" in out
 
 
-def test_region_startup():
-    out = run_example("region_startup.py")
-    assert "region_bypassed" in out
-    assert "region_unbypassed" in out
-    assert "boot time" in out
-
-
 def test_bus_capacity():
     out = run_example("bus_capacity.py")
     assert out.strip()

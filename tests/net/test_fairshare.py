@@ -69,7 +69,8 @@ def test_single_transfer_time():
     sim = Simulator()
     pipe = FairSharePipe(sim, capacity_bps=Mbps(8))
     done = pipe.transfer(MB)  # 1 MB over 8 Mbps ≈ 1.048576 s
-    sim.run_until_event(done)
+    sim.run()
+    assert done.processed
     assert sim.now == pytest.approx(1.048576)
 
 
@@ -117,7 +118,8 @@ def test_per_flow_cap_respected():
     sim = Simulator()
     pipe = FairSharePipe(sim, capacity_bps=1_000_000.0)
     done = pipe.transfer(1000, cap_bps=8000.0)  # capped at 1000 B/s -> 1 s
-    sim.run_until_event(done)
+    sim.run()
+    assert done.processed
     assert sim.now == pytest.approx(1.0)
 
 

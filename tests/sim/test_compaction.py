@@ -122,16 +122,20 @@ def test_revival_after_compaction_fires_at_deadline(sim):
     assert sim.dead_entries == 0
 
 
-def test_anyof_loser_yield_after_compaction(sim):
-    """The reviewer's repro: an AnyOf loser is auto-cancelled; after a
+def test_allof_orphan_yield_after_compaction(sim):
+    """A timeout orphaned by a failed AllOf is auto-cancelled; after a
     compaction drops its entry, ``yield``-ing it must still resume the
-    process at the original deadline (it used to hang forever)."""
+    process at the original deadline."""
     results = []
 
     def proc(sim):
-        fast = sim.timeout(1.0)
+        ev = sim.event()
         slow = sim.timeout(10.0)
-        yield sim.any_of([fast, slow])  # slow loses and is auto-cancelled
+        sim.call_in(1.0, ev.fail, RuntimeError("sub failed"))
+        try:
+            yield sim.all_of([ev, slow])  # fails at 1.0; slow is auto-cancelled
+        except RuntimeError:
+            pass
         churn = [sim.timeout(50.0) for _ in range(2 * Simulator.COMPACT_MIN_DEAD)]
         for other in churn:
             other.cancel()

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.sim import Simulator, StopSimulation
-from repro.sim.core import EmptySchedule
 
 
 def test_clock_starts_at_zero():
@@ -78,36 +77,6 @@ def test_call_at_past_raises():
         sim.call_at(1.0, lambda: None)
 
 
-def test_step_on_empty_schedule_raises():
-    sim = Simulator()
-    with pytest.raises(EmptySchedule):
-        sim.step()
-
-
-def test_run_until_event_returns_value():
-    sim = Simulator()
-
-    def proc(sim):
-        yield sim.timeout(2.0)
-        return "result"
-
-    p = sim.process(proc(sim))
-    assert sim.run_until_event(p) == "result"
-    assert sim.now == 2.0
-
-
-def test_run_until_event_raises_on_failure():
-    sim = Simulator()
-
-    def proc(sim):
-        yield sim.timeout(1.0)
-        raise ValueError("boom")
-
-    p = sim.process(proc(sim))
-    with pytest.raises(ValueError, match="boom"):
-        sim.run_until_event(p)
-
-
 def test_unhandled_failed_event_raises_from_run():
     sim = Simulator()
     ev = sim.event()
@@ -154,19 +123,9 @@ def test_call_at_passes_args():
     assert seen == [42] and sim.now == 5.0
 
 
-def test_events_processed_counts_run_and_step():
-    sim = Simulator()
-    sim.timeout(1.0)
-    sim.timeout(2.0)
-    sim.step()
-    assert sim.events_processed == 1
-    sim.run()
-    assert sim.events_processed == 2
-
-
 def test_run_inlined_loop_matches_step_semantics():
-    """run() inlines the event loop; a failing un-defused event must
-    still surface, exactly as through step()."""
+    """A failing un-defused event scheduled mid-run must surface from
+    the run loop, not be dropped."""
     sim = Simulator()
     ev = sim.event()
     sim.call_in(1.0, lambda: ev.fail(RuntimeError("lost")))

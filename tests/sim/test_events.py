@@ -1,9 +1,9 @@
-"""Tests for event primitives: trigger semantics, conditions."""
+"""Tests for event primitives: trigger semantics, AllOf."""
 
 import pytest
 
 from repro.sim import Simulator
-from repro.sim.events import AllOf, AnyOf
+from repro.sim.events import AllOf
 
 
 def test_event_starts_pending():
@@ -108,21 +108,6 @@ def test_all_of_waits_for_all():
     assert done == [3.0]
 
 
-def test_any_of_fires_on_first():
-    sim = Simulator()
-    t1 = sim.timeout(1.0)
-    t2 = sim.timeout(3.0)
-    done = []
-
-    def proc(sim):
-        result = yield AnyOf(sim, [t1, t2])
-        done.append((sim.now, t1 in result))
-
-    sim.process(proc(sim))
-    sim.run()
-    assert done == [(1.0, True)]
-
-
 def test_all_of_empty_fires_immediately():
     sim = Simulator()
     done = []
@@ -134,21 +119,6 @@ def test_all_of_empty_fires_immediately():
     sim.process(proc(sim))
     sim.run()
     assert done == [0.0]
-
-
-def test_condition_value_mapping():
-    sim = Simulator()
-    t1 = sim.timeout(1.0, value="a")
-    t2 = sim.timeout(2.0, value="b")
-    result = {}
-
-    def proc(sim):
-        cv = yield AllOf(sim, [t1, t2])
-        result.update(cv.todict())
-
-    sim.process(proc(sim))
-    sim.run()
-    assert result == {t1: "a", t2: "b"}
 
 
 def test_condition_fails_when_subevent_fails():
@@ -178,40 +148,32 @@ def test_cross_simulator_event_rejected_by_condition():
         AllOf(sim1, [t1, t2])
 
 
-def test_event_trigger_copies_state():
+def test_all_of_failure_detaches_and_cancels_orphaned_timeout():
+    """Fail-fast: one failing sub-event fails the AllOf at once; the
+    AllOf then stops listening to the sub-events still pending, and a
+    timeout nothing else listens to is cancelled (one more dead entry)."""
     sim = Simulator()
-    src = sim.event()
-    dst = sim.event()
-    src.succeed(7)
-    dst.trigger(src)
-    assert dst.value == 7
+    ev = sim.event()
+    shared = sim.timeout(5.0)
+    orphan = sim.timeout(9.0)
+    seen = []
+    shared.add_callback(seen.append)  # keeps ``shared`` live
+    cond = AllOf(sim, [ev, shared, orphan])
+    caught = []
 
+    def proc(sim):
+        try:
+            yield cond
+        except ValueError as exc:
+            caught.append((sim.now, str(exc)))
 
-def test_event_trigger_from_pending_source_raises():
-    """Regression: trigger() on a still-pending source used to fall into
-    fail(PENDING) with the sentinel object; it must raise clearly."""
-    sim = Simulator()
-    src = sim.event()
-    dst = sim.event()
-    with pytest.raises(RuntimeError, match="still pending"):
-        dst.trigger(src)
-    # Neither event was corrupted by the rejected call.
-    assert not dst.triggered
-    assert not src.triggered
-    src.succeed(1)
-    dst.trigger(src)
-    assert dst.value == 1
-
-
-def test_event_trigger_copies_failure():
-    sim = Simulator()
-    src = sim.event()
-    dst = sim.event()
-    boom = RuntimeError("boom")
-    src.fail(boom)
-    src.defuse()
-    dst.trigger(src)
-    dst.defuse()
-    assert dst.ok is False
-    assert dst._value is boom
+    sim.process(proc(sim))
+    sim.call_in(1.0, ev.fail, ValueError("sub failed"))
+    sim.run(until=2.0)
+    assert caught == [(1.0, "sub failed")]
+    assert shared.callbacks == [seen.append]
+    assert orphan.callbacks is None
+    assert sim.dead_entries == 1
     sim.run()
+    assert seen == [shared]
+    assert sim.dead_entries == 0

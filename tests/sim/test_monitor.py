@@ -23,14 +23,6 @@ def test_select_time_window():
     assert tr.count_of("tick", since=3.0, until=7.0) == 4
 
 
-def test_series_extraction():
-    tr = Trace()
-    tr.record(1.0, "x", v=10)
-    tr.record(2.0, "x", other=5)
-    tr.record(3.0, "x", v=30)
-    assert tr.series("x", "v") == [(1.0, 10), (3.0, 30)]
-
-
 def test_last():
     tr = Trace()
     assert tr.last("x") is None
@@ -52,15 +44,6 @@ def test_counter_negative_raises():
     tr = Trace()
     with pytest.raises(ValueError):
         tr.count("x", -1)
-
-
-def test_clear():
-    tr = Trace()
-    tr.record(1.0, "x")
-    tr.count("c")
-    tr.clear()
-    assert tr.records == []
-    assert tr.value("c") == 0.0
 
 
 def test_select_uses_category_index_with_time_window():
@@ -101,19 +84,6 @@ def test_last_follows_insertion_order():
     tr.record(1.0, "x", i=1)
     assert tr.last("x").data["i"] == 1
     assert tr.last("missing") is None
-
-
-def test_clear_keeps_preresolved_counter_handles_live():
-    """Regression: hot paths cache Counter handles; clear() must reset
-    them in place, not orphan them from the registry."""
-    tr = Trace()
-    handle = tr.counter("net.wifi.bytes")
-    handle.add(100)
-    tr.clear()
-    assert tr.value("net.wifi.bytes") == 0.0
-    handle.add(7)
-    assert tr.value("net.wifi.bytes") == 7.0
-    assert tr.counter("net.wifi.bytes") is handle
 
 
 def test_count_of_rejects_unknown_window_kwargs():

@@ -38,18 +38,6 @@ def test_creation_order_does_not_matter():
     assert np.array_equal(v1, v2)
 
 
-def test_fork_produces_independent_registry():
-    base = RngRegistry(42)
-    f1 = base.fork(1)
-    f2 = base.fork(2)
-    assert not np.array_equal(f1.stream("x").random(5), f2.stream("x").random(5))
-    # forking is deterministic
-    g1 = RngRegistry(42).fork(1)
-    assert np.array_equal(
-        RngRegistry(42).fork(1).stream("x").random(5), g1.stream("x").random(5)
-    )
-
-
 def test_names_listing():
     reg = RngRegistry(0)
     reg.stream("b")

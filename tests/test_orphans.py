@@ -41,9 +41,6 @@ ALLOWLIST = {
     "core/node.py:NodeRuntime.blocked_channels": "observer: channel blocking during rounds",
     "core/operator.py:MapOperator": "fixture: the small graphs of the core tests",
     "core/operator.py:StatefulOperator": "fixture: the checkpointed graphs of the recovery tests",
-    "device/mobility.py:ScriptedDepartures.periodic": "fixture: mobility integration tests",
-    "device/mobility.py:ScriptedDepartures.simultaneous": "fixture: burst-departure tests",
-    "device/mobility.py:StaticMobility": "fixture: the no-departure baseline",
     "device/storage.py:FlashStorage.free_bytes": "observer: flash accounting",
     "device/storage.py:FlashStorage.keys": "observer: FlashStorage.wipe",
     "device/storage.py:FlashStorage.used_bytes": "observer: flash accounting",
@@ -55,7 +52,6 @@ ALLOWLIST = {
     "results/resultset.py:GroupedResults.keys": "observer: group order; completes the mapping API",
     "results/resultset.py:ResultSet.from_cases": "fixture: typed result sets for the results tests",
     "results/resultset.py:ResultSet.save": "fixture: artifacts for the load tests",
-    "sim/core.py:Simulator.run_until_event": "fixture: kernel API the network tests drive",
     "sim/resources.py:Resource.queue_length": "observer: resource grants",
     "util/bitmaps.py:received_bytes": "oracle: reception accounting of the packed bitmaps",
     # Documented in README.md.
@@ -64,10 +60,6 @@ ALLOWLIST = {
     "results/resultset.py:ResultSet.to_rows": "README: results API",
     "telemetry/timeline.py:Timeline.final": "README: timeline API",
     "telemetry/timeline.py:Timeline.operator_names": "README: timeline API",
-    # Paper protocol: the Section III-A bootstrap, pinned in tests/core/test_bootstrap.py.
-    "core/bootstrap.py:Bootstrapper.max_boot_time": "paper protocol: boot time",
-    "core/bootstrap.py:Bootstrapper.register_late_phone": "paper protocol: late joiners",
-    "core/system.py:MobiStreamsSystem.start_staged": "paper protocol: staged start",
     # Reached from benchmarks/e2e.
     "net/wifi.py:WifiCell.udp_unicast": "benchmarks/e2e/tracing.py counts its calls",
 }

@@ -2,17 +2,12 @@
 
 import math
 
-from repro.util import mean, mean_ci, percentile
+from repro.util import mean, mean_ci
 
 
 def test_mean():
     assert mean([1, 2, 3]) == 2.0
     assert math.isnan(mean([]))
-
-
-def test_percentile():
-    assert percentile([1, 2, 3, 4, 5], 50) == 3.0
-    assert math.isnan(percentile([], 50))
 
 
 def test_mean_ci_single_value():
