@@ -26,7 +26,6 @@ from repro.checkpoint.broadcast import (
 )
 from repro.checkpoint.scheme import MobiStreamsScheme
 from repro.checkpoint.snapshots import (
-    ChunkStore,
     adopt_array,
     freeze_array,
     freeze_state,
@@ -41,7 +40,6 @@ __all__ = [
     "BroadcastOutcome",
     "BroadcastSettings",
     "CheckpointStore",
-    "ChunkStore",
     "MobiStreamsScheme",
     "PreservationStore",
     "TokenTracker",

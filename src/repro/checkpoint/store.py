@@ -14,7 +14,6 @@ from collections import defaultdict
 from types import MappingProxyType
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
-from repro.checkpoint.snapshots import ChunkStore
 from repro.core.tuples import StreamTuple
 
 NodeKey = frozenset
@@ -33,14 +32,11 @@ class CheckpointStore:
     simply ignored, per Section III-D.
     """
 
-    def __init__(self, chunks: Optional[ChunkStore] = None) -> None:
+    def __init__(self) -> None:
         self._states: Dict[int, Dict[NodeKey, Tuple[Any, int]]] = defaultdict(dict)
         self._needed: Dict[int, set] = {}
         self._saved: Dict[int, set] = defaultdict(set)
         self._complete: List[int] = []
-        #: Content-addressed sharing for large snapshot arrays: an
-        #: unchanged operator state costs one buffer across versions.
-        self.chunks = chunks or ChunkStore()
 
     def begin_version(self, version: int, node_ids: Iterable[str]) -> None:
         """Register the participants of checkpoint ``version``."""
@@ -49,7 +45,6 @@ class CheckpointStore:
     def put(self, version: int, node_id: str, op_key: NodeKey, snapshot: Any, size: int) -> bool:
         """Record one node's saved state; returns True if ``version`` is
         now complete."""
-        snapshot = self.chunks.intern_state(snapshot)
         self._states[version][op_key] = (snapshot, size)
         self._saved[version].add(node_id)
         needed = self._needed.get(version)

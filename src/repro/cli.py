@@ -77,7 +77,7 @@ import sys
 from typing import List, Optional, Tuple
 
 from repro.apps import registry as app_registry
-from repro.results import ResultSet, build_report
+from repro.results import ResultSet, build_report, write_artifact
 from repro.scenarios.runner import scheme_factories
 from repro.util.tables import format_table
 
@@ -105,13 +105,6 @@ def _add_sweep_exec_flags(p: argparse.ArgumentParser) -> None:
                    help="time-compress the scenario to ~300 sim seconds")
     p.add_argument("--out", default=None, metavar="FILE",
                    help="also write the aggregated metrics JSON here")
-    layout = p.add_mutually_exclusive_group()
-    layout.add_argument("--compact", dest="compact", action="store_true",
-                        default=None,
-                        help="write separators-only JSON (automatic for "
-                             "sweeps of >= 100 cases)")
-    layout.add_argument("--pretty", dest="compact", action="store_false",
-                        help="force indented JSON even for huge sweeps")
     p.add_argument("--resume", action="store_true",
                    help="reuse finished cases from the resume cache and "
                         "persist fresh ones (only missing cases run)")
@@ -492,13 +485,12 @@ def cmd_scenario(args) -> int:
     spec, timelines_dir = _prepare_sweep_spec(spec, args)
     if spec is None:
         return 2
-    compact = getattr(args, "compact", None)
     resume_dir = args.cache_dir if args.resume else None
     from repro.scenarios import executor
 
     hits_before = executor.stats["cache_hits"]
     result = scenarios.run_sweep(spec, jobs=args.jobs, out_path=args.out,
-                                 compact=compact, resume_dir=resume_dir,
+                                 resume_dir=resume_dir,
                                  max_cases=args.max_cases,
                                  timelines_dir=timelines_dir,
                                  verify=args.verify)
@@ -514,7 +506,7 @@ def cmd_scenario(args) -> int:
         print(f"{len(rs)} cases -> {args.out}")
         return 1 if failed else 0
     if args.scenario_command == "sweep":
-        print(rs.to_json(compact=compact))
+        print(rs.to_json())
         return 1 if failed else 0
     rows = []
     for case in rs:
@@ -612,13 +604,7 @@ def cmd_watch(args) -> int:
     import dataclasses
     import os
 
-    from repro.telemetry import (
-        Timeline,
-        dumps_timeline,
-        load_timeline,
-        render_frame,
-        render_progress_line,
-    )
+    from repro.telemetry import Timeline, render_frame, render_progress_line
     from repro.telemetry.watch import ANSI_CLEAR
 
     use_ansi = not args.no_ansi and sys.stdout.isatty()
@@ -628,7 +614,7 @@ def cmd_watch(args) -> int:
                        if n.endswith(".timeline.json"))
         timelines = []
         for name in names:
-            tl = load_timeline(os.path.join(args.target, name))
+            tl = Timeline.load(os.path.join(args.target, name))
             if args.app is not None and tl.app != args.app:
                 continue
             if args.scheme is not None and tl.scheme != args.scheme:
@@ -647,7 +633,7 @@ def cmd_watch(args) -> int:
         return 0
 
     if os.path.isfile(args.target):
-        _watch_render(load_timeline(args.target), args.replay,
+        _watch_render(Timeline.load(args.target), args.replay,
                       use_ansi, args.delay)
         return 0
 
@@ -691,8 +677,7 @@ def cmd_watch(args) -> int:
         print(ANSI_CLEAR, end="")
     print(render_frame(timeline))
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(dumps_timeline(timeline.to_dict()) + "\n")
+        write_artifact(args.out, timeline.to_dict())
         print(f"timeline -> {args.out}", file=sys.stderr)
     return 0
 

@@ -10,7 +10,8 @@ consumes numbers":
   surface: ``load``/``from_sweep``, ``filter``/``group_by``,
   ``aggregate``/``relative_to``/``pivot``, ``to_rows``/``to_json``.
 * :mod:`repro.results.io` — the canonical artifact serialization
-  (:func:`dumps_artifact`) and :data:`COMPACT_THRESHOLD`.
+  (:func:`dumps_artifact`) and its one atomic writer
+  (:func:`write_artifact`).
 * :mod:`repro.results.report` — ``repro report``'s renderer
   (:func:`build_report`: table / markdown / json).
 
@@ -20,7 +21,7 @@ consumes numbers":
 >>> rs.relative_to("base", metrics=("throughput", "latency"))
 """
 
-from repro.results.io import COMPACT_THRESHOLD, dumps_artifact, load_artifact
+from repro.results.io import dumps_artifact, load_artifact, write_artifact
 from repro.results.model import (
     AXES,
     SCHEMA_VERSION,
@@ -40,7 +41,6 @@ __all__ = [
     "AXES",
     "Aggregate",
     "CaseResult",
-    "COMPACT_THRESHOLD",
     "DEFAULT_METRICS",
     "GroupedResults",
     "Pivot",
@@ -51,4 +51,5 @@ __all__ = [
     "build_report",
     "dumps_artifact",
     "load_artifact",
+    "write_artifact",
 ]

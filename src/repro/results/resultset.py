@@ -486,17 +486,12 @@ class ResultSet:
             out["schema_version"] = self.schema_version
         return out
 
-    def to_json(self, compact: Optional[bool] = None) -> str:
+    def to_json(self) -> str:
         """Canonical artifact serialization of this set.
 
         For a freshly loaded artifact this reproduces the input bytes
-        exactly (modulo the file's trailing newline); :meth:`save`
+        exactly (modulo the file's trailing newline);
+        :func:`~repro.results.io.write_artifact` of :meth:`to_dict`
         writes a byte-identical file.
         """
-        return dumps_artifact(self.to_dict(), compact=compact)
-
-    def save(self, path: str, compact: Optional[bool] = None) -> None:
-        """Write the canonical artifact file (trailing newline, like
-        the streaming writer)."""
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_json(compact=compact) + "\n")
+        return dumps_artifact(self.to_dict())

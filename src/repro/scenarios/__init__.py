@@ -10,14 +10,13 @@
 * :mod:`repro.scenarios.runner` — single-case execution, reduced to
   artifact rows.
 * :mod:`repro.scenarios.executor` — the sweep executor: warm worker
-  pool, case-level resume cache, streaming artifacts.
+  pool, case-level resume cache, one atomic artifact write.
 """
 
 from repro.scenarios import library as _library  # noqa: F401  (registers built-ins)
 from repro.scenarios.events import EventDirector
 from repro.scenarios.executor import (
     CaseCache,
-    StreamingSweepWriter,
     run_sweep,
     shutdown_pool,
     spec_digest,
@@ -48,7 +47,6 @@ __all__ = [
     "MatrixSpec",
     "RegionSpec",
     "ScenarioSpec",
-    "StreamingSweepWriter",
     "TelemetrySpec",
     "all_specs",
     "build_system",

@@ -1,4 +1,4 @@
-"""The sweep executor: warm worker pool, resume cache, streaming artifacts.
+"""The sweep executor: warm worker pool, resume cache, one atomic artifact.
 
 ``run_sweep`` fans a scenario's matrix out over a process pool and
 aggregates per-case metric rows into one canonical JSON artifact.  Three
@@ -13,12 +13,12 @@ same spec reuses live workers.  The start method is forkserver-aware:
 ``fork`` where the platform offers it (cheapest, inherits warm caches),
 else ``forkserver``, else ``spawn``.
 
-**Ordered streaming.**  Cases run through ``imap`` (order-preserving,
-one case per task), and every finished row is appended
-to the artifact *immediately* — the writer reproduces the exact bytes
-of :func:`~repro.results.io.dumps_artifact`, so a streamed artifact
-is indistinguishable from a buffered one, but a long sweep shows
-progress on disk and never holds every row twice.
+**One ordered artifact.**  Cases run through ``imap`` (order-preserving,
+one case per task); rows are merged in matrix order and the envelope
+is written once, after the last case, by
+:func:`~repro.results.io.write_artifact` — the one writer every
+artifact in the repo goes through.  A sweep that raises writes nothing, so an
+artifact already at ``out_path`` survives it.
 
 **Resume cache.**  With ``resume_dir`` set, each finished case is also
 written to a per-case JSON keyed by ``(spec digest, app key, scheme,
@@ -41,13 +41,12 @@ import os
 import re
 import sys
 import traceback
-from typing import Any, Dict, Iterator, List, Optional, TextIO, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.apps.registry import AppRef, get_app
-from repro.results.io import COMPACT_THRESHOLD
+from repro.results.io import load_artifact, write_artifact
 from repro.scenarios.runner import case_to_dict, run_case, scheme_factory
 from repro.scenarios.spec import ScenarioSpec
-from repro.telemetry.timeline import dumps_timeline
 from repro.util.simlog import get_logger
 
 #: Executor observability (monotone counters; tests and the e2e
@@ -134,20 +133,17 @@ def _execute_case(
     spec: ScenarioSpec, app: AppRef, scheme: str, seed: int,
     verify: bool = False,
 ) -> Dict[str, Any]:
-    """One case as a sweep payload: the artifact row, plus — when the
-    spec opts into telemetry or the sweep is verified — the timeline
-    dict / violation dicts riding alongside it (kept out of the row
-    itself: the row schema is strict)."""
+    """One case as a sweep payload: the artifact row, the timeline dict
+    (None unless the spec opts into telemetry) and the violation dicts
+    (empty unless the sweep is verified).  Timeline and violations ride
+    beside the row, never in it: the row schema is strict."""
     result = run_case(spec, app, scheme, seed, verify=verify)
-    row = case_to_dict(result)
-    if spec.telemetry is None and not verify:
-        return row
-    payload: Dict[str, Any] = {"row": row}
-    if spec.telemetry is not None:
-        payload["timeline"] = result.timeline.to_dict()
-    if verify:
-        payload["violations"] = [v.to_dict() for v in result.violations]
-    return payload
+    return {
+        "row": case_to_dict(result),
+        "timeline": (result.timeline.to_dict()
+                     if result.timeline is not None else None),
+        "violations": [v.to_dict() for v in result.violations],
+    }
 
 
 def _error_record(exc: BaseException) -> Dict[str, Any]:
@@ -174,8 +170,8 @@ def _try_execute(
 
     Only ``Exception`` is captured: ``KeyboardInterrupt``/``SystemExit``
     (and a SIGKILL, which no handler sees) still tear the process down.
-    The sentinel key cannot collide with a real payload — case rows and
-    telemetry envelopes never contain dunder keys.
+    The sentinel key cannot collide with a real payload, whose keys are
+    always ``row``, ``timeline`` and ``violations``.
     """
     try:
         return _execute_case(spec, app, scheme, seed, verify=verify)
@@ -288,7 +284,8 @@ class CaseCache:
     and the short content hash of the *unsanitized* key makes two
     distinct cases that sanitize alike impossible to collide.  Rows are
     written atomically (tmp + rename) so a killed sweep never leaves a
-    torn row behind.  Unreadable entries count as misses.
+    torn row behind (:func:`~repro.results.io.write_artifact`).
+    Unreadable entries count as misses.
 
     Telemetry sweeps also cache each case's timeline as a
     ``*.timeline.json`` sidecar; a resumed telemetry sweep needs both
@@ -313,8 +310,7 @@ class CaseCache:
     @classmethod
     def _read(cls, path: str) -> Optional[Dict]:
         try:
-            with open(path, encoding="utf-8") as fh:
-                return json.load(fh)
+            return load_artifact(path)
         except OSError:
             return None  # absent entry: an ordinary cold miss
         except ValueError:
@@ -329,15 +325,11 @@ class CaseCache:
                     "(will re-simulate): %s", path)
             return None
 
-    @staticmethod
-    def _write(path: str, data: Dict) -> None:
-        _atomic_write(path, json.dumps(data, sort_keys=True, separators=(",", ":")))
-
     def get(self, digest: str, app_key: str, scheme: str, seed: int) -> Optional[Dict]:
         return self._read(self.path(digest, app_key, scheme, seed))
 
     def put(self, digest: str, app_key: str, scheme: str, seed: int, row: Dict) -> None:
-        self._write(self.path(digest, app_key, scheme, seed), row)
+        write_artifact(self.path(digest, app_key, scheme, seed), row)
 
     def get_timeline(
         self, digest: str, app_key: str, scheme: str, seed: int
@@ -347,7 +339,7 @@ class CaseCache:
     def put_timeline(
         self, digest: str, app_key: str, scheme: str, seed: int, timeline: Dict
     ) -> None:
-        self._write(self.timeline_path(digest, app_key, scheme, seed), timeline)
+        write_artifact(self.timeline_path(digest, app_key, scheme, seed), timeline)
 
 
 def _case_stem(app_key: str, scheme: str, seed: int) -> str:
@@ -358,93 +350,14 @@ def _case_stem(app_key: str, scheme: str, seed: int) -> str:
     return f"{_UNSAFE.sub('_', raw)}-{tag}"
 
 
-def _atomic_write(path: str, text: str) -> None:
-    """Write ``text`` to ``path`` through a temp file and ``os.replace``,
-    so a killed sweep never leaves a torn file behind."""
-    os.makedirs(os.path.dirname(path), exist_ok=True)
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
-
-
 def _write_timeline_file(
     dirname: str, app_key: str, scheme: str, seed: int, timeline: Dict[str, Any]
 ) -> str:
     """Persist one case timeline under ``dirname`` (atomic, canonical
     bytes — serial/parallel/resumed sweeps write identical files)."""
     path = os.path.join(dirname, _case_stem(app_key, scheme, seed) + ".timeline.json")
-    _atomic_write(path, dumps_timeline(timeline) + "\n")
+    write_artifact(path, timeline)
     return path
-
-
-# -- streaming artifact writer ------------------------------------------------
-class StreamingSweepWriter:
-    """Incremental sweep-artifact writer, byte-identical to
-    :func:`~repro.results.io.dumps_artifact` plus trailing newline.
-
-    The canonical layouts put ``"cases"`` first (sorted keys), so rows
-    can stream to disk as they finish; the envelope tail (``n_cases``,
-    ``scenario``, ``spec``) lands in :meth:`finish`.
-    """
-
-    def __init__(self, path: str, compact: bool) -> None:
-        dirname = os.path.dirname(path)
-        if dirname:
-            os.makedirs(dirname, exist_ok=True)
-        self.compact = compact
-        self._rows = 0
-        # Stream into a sidecar and promote atomically on finish: a
-        # failed sweep must never destroy a previously complete
-        # artifact at the same path (progress is visible in the .tmp).
-        self._path = path
-        self._tmp = path + ".tmp"
-        self._fh: TextIO = open(self._tmp, "w", encoding="utf-8")
-
-    def write_row(self, row: Dict[str, Any]) -> None:
-        """Append one case row (called in matrix order)."""
-        if self.compact:
-            head = '{"cases":[' if self._rows == 0 else ","
-            self._fh.write(head + json.dumps(row, sort_keys=True, separators=(",", ":")))
-        else:
-            head = '{\n  "cases": [\n' if self._rows == 0 else ",\n"
-            dumped = json.dumps(row, sort_keys=True, indent=2)
-            body = "\n".join("    " + line for line in dumped.splitlines())
-            self._fh.write(head + body)
-        self._rows += 1
-
-    def finish(self, scenario: str, spec_dict: Dict[str, Any], n_cases: int) -> None:
-        """Write the envelope tail and close the file."""
-        if self.compact:
-            head = '{"cases":[' if self._rows == 0 else ""
-            spec_json = json.dumps(spec_dict, sort_keys=True, separators=(",", ":"))
-            self._fh.write(
-                f'{head}],"n_cases":{n_cases},'
-                f'"scenario":{json.dumps(scenario)},"spec":{spec_json}}}\n'
-            )
-        else:
-            # json.dumps renders an empty list inline ("cases": []) but a
-            # populated one across lines — match both shapes exactly.
-            head = '{\n  "cases": []' if self._rows == 0 else "\n  ]"
-            lines = json.dumps(spec_dict, sort_keys=True, indent=2).splitlines()
-            spec_json = "\n".join([lines[0]] + ["  " + line for line in lines[1:]])
-            self._fh.write(
-                f'{head},\n  "n_cases": {n_cases},\n'
-                f'  "scenario": {json.dumps(scenario)},\n'
-                f'  "spec": {spec_json}\n}}\n'
-            )
-        self._fh.close()
-        os.replace(self._tmp, self._path)
-
-    def abort(self) -> None:
-        """Discard the stream (error path); any artifact already at the
-        target path survives untouched."""
-        if not self._fh.closed:
-            self._fh.close()
-        try:
-            os.unlink(self._tmp)
-        except OSError:
-            pass
 
 
 # -- the sweep ----------------------------------------------------------------
@@ -452,7 +365,6 @@ def run_sweep(
     spec: ScenarioSpec,
     jobs: int = 1,
     out_path: Optional[str] = None,
-    compact: Optional[bool] = None,
     resume_dir: Optional[str] = None,
     max_cases: Optional[int] = None,
     timelines_dir: Optional[str] = None,
@@ -468,9 +380,9 @@ def run_sweep(
     instead of re-simulated, and fresh rows are persisted as they
     complete.  ``max_cases`` truncates the matrix (a partial sweep —
     with a resume cache this is the "kill half-way" half of a resumable
-    run).  With ``out_path`` the artifact streams to disk row by row;
-    ``compact`` picks the layout (None = automatic by sweep size, see
-    :func:`~repro.results.io.dumps_artifact`).
+    run).  With ``out_path`` the artifact is written once, atomically,
+    after the last case (:func:`~repro.results.io.write_artifact`); a
+    sweep that raises leaves any file already there untouched.
 
     With ``spec.telemetry`` set, every case also produces a QoS timeline
     (see :mod:`repro.telemetry`); ``timelines_dir`` persists each one as
@@ -527,10 +439,6 @@ def run_sweep(
         stats["cache_hits"] += len(cached)
         stats["cache_misses"] += len(cases) - len(cached)
     missing = [(i, case) for i, case in enumerate(cases) if i not in cached]
-
-    if compact is None:
-        compact = len(cases) >= COMPACT_THRESHOLD
-    writer = StreamingSweepWriter(out_path, compact) if out_path else None
 
     parallel = jobs > 1 and len(missing) > 1
 
@@ -594,7 +502,7 @@ def run_sweep(
             timeline = cached_timelines.get(i)
             if row is None:
                 payload = next(fresh)
-                if isinstance(payload, dict) and "__error__" in payload:
+                if "__error__" in payload:
                     # The case raised instead of producing a row; retry
                     # once in-process (transient failures — a flaky
                     # extension scheme, an OS hiccup — get one more
@@ -602,21 +510,18 @@ def run_sweep(
                     stats["case_retries"] += 1
                     payload = _try_execute(
                         spec, app, scheme, seed, verify=verify)
-                if isinstance(payload, dict) and "__error__" in payload:
+                if "__error__" in payload:
                     stats["case_errors"] += 1
                     errors.append({
                         "app": app.key, "scheme": scheme, "seed": seed,
                         "attempts": 2, "error": payload["__error__"],
                     })
                     continue  # failure record only — never an artifact row
-                if telemetry_on or verify:
-                    row, timeline = payload["row"], payload.get("timeline")
-                    for v in payload.get("violations", ()):
-                        violations.append(
-                            {"app": app.key, "scheme": scheme, "seed": seed, **v}
-                        )
-                else:
-                    row = payload
+                row, timeline = payload["row"], payload["timeline"]
+                for v in payload["violations"]:
+                    violations.append(
+                        {"app": app.key, "scheme": scheme, "seed": seed, **v}
+                    )
                 stats["cases_run"] += 1
                 if cache is not None:
                     cache.put(digest, app.key, scheme, seed, row)
@@ -627,13 +532,7 @@ def run_sweep(
                 _write_timeline_file(
                     timelines_dir, app.key, scheme, seed, timeline)
             rows.append(row)
-            if writer is not None:
-                writer.write_row(row)
-        if writer is not None:
-            writer.finish(spec.name, spec.to_dict(), len(rows))
     except BaseException:
-        if writer is not None:
-            writer.abort()
         if parallel:
             # The abandoned imap leaves queued chunks (or dead workers)
             # behind; a reused pool would hang or lag the next sweep.
@@ -645,10 +544,11 @@ def run_sweep(
         "n_cases": len(rows),
         "cases": rows,
     }
+    if out_path is not None:
+        write_artifact(out_path, envelope)
     if verify:
-        # Only in the returned dict: the streamed artifact's envelope
-        # tail never grows keys, so verified and plain sweeps write
-        # byte-identical files.
+        # Only in the returned dict, added after the write: verified
+        # and plain sweeps write byte-identical files.
         envelope["violations"] = violations
     if errors:
         # Same rule as violations: failure records are run-report

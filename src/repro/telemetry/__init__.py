@@ -60,8 +60,6 @@ from repro.telemetry.timeline import (
     RegionSample,
     TelemetrySnapshot,
     Timeline,
-    dumps_timeline,
-    load_timeline,
 )
 from repro.telemetry.watch import render_frame, render_progress_line, sparkline
 
@@ -75,8 +73,6 @@ __all__ = [
     "RegionSample",
     "TelemetrySnapshot",
     "Timeline",
-    "dumps_timeline",
-    "load_timeline",
     "render_frame",
     "render_progress_line",
     "sparkline",

@@ -4,10 +4,10 @@ A :class:`Timeline` is to live telemetry what
 :class:`repro.results.ResultSet` is to sweep rows: the typed,
 loadable, queryable form of one case's sampled run.  Like the results
 model, this module is pure data — it must stay loadable without
-importing any simulation code — and like the artifact contract in
-:mod:`repro.results.io`, serialization is canonical (sorted keys,
-layout chosen by size) so serial, parallel, and resumed sweeps write
-byte-identical timeline files.
+importing any simulation code — and timeline files are read and
+written through the one artifact codec, :mod:`repro.results.io`, so
+serial, parallel, and resumed sweeps write byte-identical timeline
+files.
 
 Schema (version 1)::
 
@@ -31,16 +31,15 @@ Loaders are strict: unknown keys and unsupported schema versions raise
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, fields
 from typing import Any, Dict, List, Mapping, Optional, Tuple
+
+from repro.results.io import load_artifact
 
 #: Version written by this code; loaders reject anything else.
 TIMELINE_SCHEMA_VERSION = 1
 #: Artifact discriminator (a sweep row file is not a timeline).
 TIMELINE_KIND = "qos-timeline"
-#: Timelines with at least this many snapshots serialize compactly.
-COMPACT_SNAPSHOTS = 200
 
 
 def _check_keys(data: Mapping[str, Any], required: Tuple[str, ...],
@@ -256,24 +255,4 @@ class Timeline:
     @classmethod
     def load(cls, path: str) -> "Timeline":
         """Load one timeline artifact file."""
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
-
-
-def dumps_timeline(timeline: Dict[str, Any],
-                   compact: Optional[bool] = None) -> str:
-    """Canonical timeline serialization (sorted keys, fixed layout) —
-    the timeline twin of :func:`repro.results.io.dumps_artifact`.
-    ``compact=None`` switches to separators-only JSON at
-    :data:`COMPACT_SNAPSHOTS` snapshots."""
-    if compact is None:
-        compact = len(timeline.get("snapshots", ())) >= COMPACT_SNAPSHOTS
-    if compact:
-        return json.dumps(timeline, sort_keys=True, separators=(",", ":"))
-    return json.dumps(timeline, sort_keys=True, indent=2)
-
-
-def load_timeline(path: str) -> Timeline:
-    """Module-level alias of :meth:`Timeline.load` (mirrors
-    :func:`repro.results.io.load_artifact`)."""
-    return Timeline.load(path)
+        return cls.from_dict(load_artifact(path))

@@ -401,3 +401,36 @@ def test_fleet_wave_peak_memory_is_one_bit_per_block():
         tracemalloc.stop()
     assert proc.value.n_blocks == 12_000 and proc.value.all_complete
     assert peak < 12 * 2**20, f"wave peaked at {peak / 2**20:.1f} MiB"
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "broadcast_checkpoint never checks that its sender is still in the "
+    "cell: a gone sender keeps broadcasting rounds and attempting bitmap "
+    "queries; fixing it moves simulated bytes and the seed-3 digests"))
+def test_wave_stops_once_its_sender_leaves_the_cell():
+    """A sender that leaves a lossy cell after round 1 (a crash or a
+    departure) is charged no further round and no further bitmap query."""
+    sim, cell = make_cell(4)
+    started = []  # (what, sim time) of every round and query begun
+    leave_at = []
+    round_impl, query_impl = cell.udp_broadcast_round, cell.control_exchange
+
+    def counted_round(*args, **kwargs):
+        started.append(("round", sim.now))
+        result = yield from round_impl(*args, **kwargs)
+        if not leave_at:
+            # Mid-way through round 1's first bitmap query.
+            leave_at.append(sim.now + 0.001)
+            sim.call_at(leave_at[0], cell.leave, "tx")
+        return result
+
+    def counted_query(*args, **kwargs):
+        started.append(("query", sim.now))
+        return (yield from query_impl(*args, **kwargs))
+
+    cell.udp_broadcast_round = counted_round
+    cell.control_exchange = counted_query
+    sim.process(broadcast_checkpoint(sim, cell, "tx", 256 * KB))
+    sim.run()
+    assert leave_at and any(what == "query" for what, _t in started)
+    assert [s for s in started if s[1] > leave_at[0]] == []

@@ -1,13 +1,11 @@
-"""Copy-on-write snapshot protocol: freeze/writable/adopt, chunk store,
-and operator ports."""
+"""Copy-on-write snapshot protocol: freeze/writable/adopt and operator
+ports."""
 
 import numpy as np
 import pytest
 
 from repro.checkpoint.snapshots import (
-    ChunkStore,
     adopt_array,
-    chunk_digest,
     freeze_array,
     freeze_state,
     thaw_state,
@@ -60,89 +58,6 @@ def test_freeze_state_and_thaw_state_round_trip():
     assert isinstance(thawed["nested"]["seen"], list)
     assert thawed["win"] == (3, 5) and isinstance(thawed["win"], tuple)
     assert thawed["w"] is frozen["w"]  # arrays stay shared; CoW on write
-
-
-# -- chunk store --------------------------------------------------------------
-def test_chunk_digest_distinguishes_dtype_and_shape():
-    a = np.zeros(16, dtype=np.float64)
-    assert chunk_digest(a) == chunk_digest(a.copy())
-    assert chunk_digest(a) != chunk_digest(np.zeros(16, dtype=np.float32))
-    assert chunk_digest(a) != chunk_digest(np.zeros((4, 4), dtype=np.float64))
-
-
-def test_chunk_store_interns_byte_equal_frozen_arrays():
-    store = ChunkStore()
-    a = freeze_array(np.arange(1024, dtype=np.float64))
-    b = freeze_array(np.arange(1024, dtype=np.float64))
-    assert store.intern(a) is a
-    assert store.intern(b) is a  # collapsed onto the canonical chunk
-    assert store.hits == 1 and store.misses == 1
-    assert store.shared_bytes == a.nbytes
-
-
-def test_chunk_store_rejects_writable_arrays():
-    """Interning a writable array would let a later in-place write
-    rewrite every snapshot sharing the chunk."""
-    with pytest.raises(ValueError):
-        ChunkStore().intern(np.arange(64, dtype=np.float64))
-
-
-def test_chunk_store_id_memo_short_circuits_rehash():
-    store = ChunkStore()
-    a = freeze_array(np.arange(512, dtype=np.float64))
-    store.intern(a)
-    store.intern(a)
-    store.intern(a)
-    assert store.hits == 2 and store.misses == 1
-
-
-def test_chunk_store_frees_pruned_chunks_and_memo_entries():
-    store = ChunkStore()
-    a = freeze_array(np.arange(256, dtype=np.float64))
-    key = chunk_digest(a)
-    store.intern(a)
-    assert key in store._by_digest
-    assert store._id_memo
-    del a
-    import gc
-
-    gc.collect()
-    assert key not in store._by_digest  # weakly held: pruning frees bytes
-    assert not store._id_memo  # the id memo self-evicts with its array
-
-
-def test_intern_state_only_touches_large_frozen_leaves():
-    store = ChunkStore()
-    small = freeze_array(np.arange(4, dtype=np.float64))
-    live = np.arange(1024, dtype=np.float64)
-    big = freeze_array(np.arange(1024, dtype=np.float64))
-    state = {"small": small, "live": live, "big": big, "n": 5}
-    out = store.intern_state(state)
-    assert out["small"] is small and out["live"] is live and out["big"] is big
-    dup = {"big": freeze_array(np.arange(1024, dtype=np.float64))}
-    assert store.intern_state(dup)["big"] is big
-    # List containers are snapshot state too (freeze_state keeps them):
-    # large frozen leaves inside them must intern the same way.
-    listed = {"bufs": [freeze_array(np.arange(1024, dtype=np.float64))]}
-    assert store.intern_state(listed)["bufs"][0] is big
-
-
-# -- checkpoint store integration ---------------------------------------------
-def test_checkpoint_store_shares_unchanged_state_across_versions():
-    store = CheckpointStore()
-    blob = np.arange(4096, dtype=np.float64)
-    # A fresh byte-equal frozen copy each version (the worst case —
-    # same-object sharing is already free): the first stored copy
-    # becomes the canonical chunk, the second collapses onto it.
-    first = freeze_array(blob.copy())
-    store.begin_version(1, ["n0"])
-    store.put(1, "n0", frozenset(["op"]), {"op": {"weights": first}}, 4096)
-    store.begin_version(2, ["n0"])
-    store.put(2, "n0", frozenset(["op"]),
-              {"op": {"weights": freeze_array(blob.copy())}}, 4096)
-    stored = store.state_for(2, frozenset(["op"]))[0]["op"]["weights"]
-    assert stored is first
-    assert store.chunks.shared_bytes >= blob.nbytes
 
 
 # -- operator ports -----------------------------------------------------------

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.results import ResultSet, build_report
+from repro.results import ResultSet, build_report, write_artifact
 from tests.results._cases import make_case
 
 
@@ -22,7 +22,7 @@ def rs():
 @pytest.fixture()
 def artifact(tmp_path, rs):
     path = tmp_path / "sweep.json"
-    rs.save(str(path))
+    write_artifact(str(path), rs.to_dict())
     return str(path)
 
 

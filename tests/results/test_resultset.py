@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from repro.results import ResultSet, dumps_artifact
+from repro.results import ResultSet, dumps_artifact, write_artifact
 from repro.util.stats import mean_ci
 from tests.results._cases import make_case
 
@@ -194,7 +194,6 @@ def test_from_sweep_round_trips_to_identical_bytes(rs):
     result = envelope(rs.cases, scenario="synth", spec={"name": "synth"})
     again = ResultSet.from_sweep(result)
     assert again.to_json() == dumps_artifact(result)
-    assert again.to_json(compact=True) == dumps_artifact(result, compact=True)
 
 
 def test_from_sweep_rejects_torn_artifacts(rs):
@@ -223,7 +222,7 @@ def test_from_sweep_rejects_future_schema_versions(rs):
 
 def test_load_accepts_sweep_case_list_and_single_case(tmp_path, rs):
     sweep = tmp_path / "sweep.json"
-    rs.save(str(sweep))
+    write_artifact(str(sweep), rs.to_dict())
     assert len(ResultSet.load(str(sweep))) == 5
 
     row = tmp_path / "case.json"
@@ -243,7 +242,7 @@ def test_load_accepts_sweep_case_list_and_single_case(tmp_path, rs):
 
 def test_save_load_is_byte_stable(tmp_path, rs):
     path = tmp_path / "a.json"
-    rs.save(str(path))
+    write_artifact(str(path), rs.to_dict())
     again = ResultSet.load(str(path))
     assert again.to_json() + "\n" == path.read_text()
     assert again.cases == rs.cases

@@ -1,4 +1,4 @@
-"""Warm-pool executor tests: resume cache, streaming writer, determinism."""
+"""Warm-pool executor tests: resume cache, artifact writes, determinism."""
 
 import os
 
@@ -8,7 +8,6 @@ from repro.results import dumps_artifact
 from repro.scenarios import executor
 from repro.scenarios.executor import (
     CaseCache,
-    StreamingSweepWriter,
     run_sweep,
     spec_digest,
 )
@@ -42,36 +41,27 @@ def test_spec_digest_tracks_the_code_version(monkeypatch):
     assert spec_digest(spec) != digest_a
 
 
-# -- streaming writer ---------------------------------------------------------
-@pytest.mark.parametrize("compact", [True, False])
-@pytest.mark.parametrize("n_rows", [0, 1, 3])
-def test_streaming_writer_matches_dumps_artifact(tmp_path, compact, n_rows):
-    """The streamed artifact must be byte-identical to the buffered
-    canonical serialization, for both layouts, including zero rows."""
-    spec = small_spec()
-    rows = [
-        {"scenario": "exec-t", "app": "bcp", "scheme": "base", "seed": i,
-         "metrics": {"latency": 0.5 + i, "none": None}}
-        for i in range(n_rows)
-    ]
-    result = {"scenario": spec.name, "spec": spec.to_dict(),
-              "n_cases": n_rows, "cases": rows}
-    path = tmp_path / "out.json"
-    writer = StreamingSweepWriter(str(path), compact=compact)
-    for row in rows:
-        writer.write_row(row)
-    writer.finish(spec.name, spec.to_dict(), n_rows)
-    assert path.read_text() == dumps_artifact(result, compact=compact) + "\n"
-
-
-def test_aborted_stream_preserves_existing_artifact(tmp_path):
+# -- artifact writes ----------------------------------------------------------
+def test_aborted_stream_preserves_existing_artifact(tmp_path, monkeypatch):
     """A failed sweep must never destroy a previously complete artifact:
-    rows stream into a sidecar that is only promoted on finish."""
+    the envelope is written once, atomically, after the last case, so
+    a sweep that raises writes nothing and leaves no ``.tmp`` behind."""
     path = tmp_path / "sweep.json"
     path.write_text('{"previous": "complete artifact"}\n')
-    writer = StreamingSweepWriter(str(path), compact=True)
-    writer.write_row({"a": 1})
-    writer.abort()
+
+    real = executor._execute_case
+    done = []
+
+    def second_case_interrupted(*args, **kwargs):
+        if done:
+            raise KeyboardInterrupt  # not retried: unwinds the sweep
+        done.append(real(*args, **kwargs))
+        return done[-1]
+
+    monkeypatch.setattr(executor, "_execute_case", second_case_interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        run_sweep(small_spec(), jobs=1, out_path=str(path))
+    assert len(done) == 1  # a row was ready; still nothing was written
     assert path.read_text() == '{"previous": "complete artifact"}\n'
     assert not os.path.exists(str(path) + ".tmp")
 

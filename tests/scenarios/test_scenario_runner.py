@@ -136,34 +136,3 @@ def test_parallel_sweep_spreads_cases_over_worker_processes(tmp_path):
     workers = {int(path.name) for path in pid_dir.iterdir()}
     assert os.getpid() not in workers
     assert len(workers) > 1
-
-
-def test_dumps_artifact_compact_flag_and_threshold():
-    from repro.results import COMPACT_THRESHOLD
-
-    small = {"scenario": "s", "n_cases": 2, "cases": [{"a": 1}]}
-    big = {"scenario": "s", "n_cases": COMPACT_THRESHOLD, "cases": [{"a": 1}]}
-    # Small sweeps stay pretty by default; big ones go compact.
-    assert "\n" in dumps_artifact(small)
-    assert "\n" not in dumps_artifact(big)
-    # Explicit flags override the size heuristic, both ways.
-    assert "\n" not in dumps_artifact(small, compact=True)
-    assert "\n" in dumps_artifact(big, compact=False)
-    # Both layouts parse back to the same canonical payload.
-    assert json.loads(dumps_artifact(big)) == json.loads(
-        dumps_artifact(big, compact=False))
-
-
-def test_sweep_writes_compact_artifact(tmp_path):
-    spec = small_spec()
-    out = tmp_path / "sweep.json"
-    result = run_sweep(spec, jobs=1, out_path=str(out), compact=True)
-    raw = out.read_text()
-    assert raw.endswith("\n")
-    assert "\n" not in raw[:-1]
-    # Compare post-JSON (the spec's tuples round-trip into lists).
-    assert json.loads(raw) == json.loads(json.dumps(result))
-    # Compact and pretty artifacts carry identical data.
-    pretty = tmp_path / "pretty.json"
-    run_sweep(spec, jobs=1, out_path=str(pretty), compact=False)
-    assert json.loads(pretty.read_text()) == json.loads(raw)

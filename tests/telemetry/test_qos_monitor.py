@@ -62,6 +62,30 @@ def test_checkpoint_counts_surface(telemetry_case):
     assert final.checkpoints_started > 0
 
 
+def test_committed_waves_reach_both_commit_handlers(monkeypatch):
+    """paper-fig8 --quick signalguru/ms-8 at seed 3 commits both of its
+    checkpoint waves (a BCP wave outlasts the quick run), so this is
+    the case that drives the QoS monitor's and the invariant harness's
+    ``checkpoint_complete`` handlers."""
+    from repro.verify import harness as harness_module
+
+    armed = []
+
+    class RecordingHarness(harness_module.InvariantHarness):
+        def start(self) -> None:
+            armed.append(self)
+            super().start()
+
+    monkeypatch.setattr(harness_module, "InvariantHarness", RecordingHarness)
+    spec = dataclasses.replace(get("paper-fig8").quick(),
+                               telemetry=TelemetrySpec())
+    result = run_case(spec, "signalguru", "ms-8", 3, verify=True)
+    final = result.timeline.final.regions["region0"]
+    assert final.checkpoints_committed == 2
+    assert armed[0]._regions["region0"].completed == {1, 2}
+    assert result.violations == ()
+
+
 def test_metrics_row_identical_with_telemetry_on(telemetry_case):
     """The monitor observes only: enabling it cannot change the row."""
     from repro.scenarios.runner import case_to_dict

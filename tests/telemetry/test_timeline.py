@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.results import write_artifact
 from repro.telemetry import (
     TIMELINE_SCHEMA_VERSION,
     NetSample,
@@ -11,8 +12,6 @@ from repro.telemetry import (
     RegionSample,
     TelemetrySnapshot,
     Timeline,
-    dumps_timeline,
-    load_timeline,
 )
 
 
@@ -116,31 +115,16 @@ def test_snapshot_strictness_reaches_nested_samples():
         Timeline.from_dict(d)
 
 
-def test_dumps_canonical_and_compact_switch():
-    d = _timeline(2).to_dict()
-    pretty = dumps_timeline(d)
-    assert pretty == json.dumps(d, sort_keys=True, indent=2)
-    compact = dumps_timeline(d, compact=True)
-    assert compact == json.dumps(d, sort_keys=True, separators=(",", ":"))
-    # Both parse back to the same value.
-    assert json.loads(pretty) == json.loads(compact)
-
-
-def test_dumps_compacts_large_timelines_automatically():
-    tl = Timeline(
-        scenario="big", app="bcp", scheme="ms-8", seed=1, interval_s=1.0,
-        snapshots=tuple(_snapshot(float(i + 1)) for i in range(200)),
-    )
-    assert "\n" not in dumps_timeline(tl.to_dict())
-
-
 def test_load_round_trips_bytes(tmp_path):
     tl = _timeline()
     path = tmp_path / "case.timeline.json"
-    text = dumps_timeline(tl.to_dict()) + "\n"
-    path.write_text(text, encoding="utf-8")
-    loaded = load_timeline(str(path))
+    write_artifact(str(path), tl.to_dict())
+    text = path.read_text(encoding="utf-8")
+    assert text == json.dumps(tl.to_dict(), sort_keys=True, indent=2) + "\n"
+    loaded = Timeline.load(str(path))
     assert loaded == tl
-    # Re-dumping the loaded value reproduces the exact bytes (the
+    # Re-writing the loaded value reproduces the exact bytes (the
     # resume-cache byte-identity contract rides on this).
-    assert dumps_timeline(loaded.to_dict()) + "\n" == text
+    again = tmp_path / "again.timeline.json"
+    write_artifact(str(again), loaded.to_dict())
+    assert again.read_text(encoding="utf-8") == text

@@ -51,7 +51,6 @@ ALLOWLIST = {
     "net/wifi.py:WifiCell.set_loss": "fixture: per-receiver loss in the broadcast tests",
     "results/resultset.py:GroupedResults.keys": "observer: group order; completes the mapping API",
     "results/resultset.py:ResultSet.from_cases": "fixture: typed result sets for the results tests",
-    "results/resultset.py:ResultSet.save": "fixture: artifacts for the load tests",
     "sim/resources.py:Resource.queue_length": "observer: resource grants",
     "util/bitmaps.py:received_bytes": "oracle: reception accounting of the packed bitmaps",
     # Documented in README.md.
