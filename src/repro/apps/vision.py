@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -53,15 +53,19 @@ BACKGROUND_NOISE = 0.15
 TARGET_HALF = 5
 
 
-def render_gray(spec: FrameSpec) -> Tuple[np.ndarray, List[Tuple[int, int]]]:
+def render_gray(
+    spec: FrameSpec, out: Optional[np.ndarray] = None
+) -> Tuple[np.ndarray, List[Tuple[int, int]]]:
     """Render a grayscale frame plus the ground-truth target centres.
 
     Targets are bright square blobs on a noisy background — a stand-in
     for HaarTraining's bright-cheek/dark-eye structure that box features
-    can separate from noise.
+    can separate from noise.  The frame is drawn into ``out`` (a C-ordered
+    ``(height, width)`` float64 array) when given, else into a new array.
     """
     rng = spec.rng()
-    img = rng.random((spec.height, spec.width)) * BACKGROUND_NOISE
+    img = rng.random((spec.height, spec.width), out=out)
+    img *= BACKGROUND_NOISE
     centers: List[Tuple[int, int]] = []
     margin = 3 * TARGET_HALF
     for _ in range(spec.n_targets):
@@ -73,48 +77,31 @@ def render_gray(spec: FrameSpec) -> Tuple[np.ndarray, List[Tuple[int, int]]]:
         centers.append((cy, cx))
         img[cy - TARGET_HALF:cy + TARGET_HALF + 1,
             cx - TARGET_HALF:cx + TARGET_HALF + 1] += TARGET_INTENSITY
-    return np.clip(img, 0.0, 1.0), centers
+    # Every pixel is >= 0, so capping at 1 in place is ``np.clip(img, 0, 1)``.
+    np.minimum(img, 1.0, out=img)
+    return img, centers
 
 
-#: RGB channel a signal hue lights up (yellow = red + green).
+#: Signal hues and the RGB channel each lights (yellow = red + green).
 _HUE_CHANNEL = {"red": 0, "yellow": None, "green": 1}
 
 
-def render_color(spec: FrameSpec, hue: str) -> np.ndarray:
-    """Render an RGB frame with ``spec.n_targets`` blobs of a given hue.
-
-    Hues: ``red``/``yellow``/``green`` (traffic-signal heads).
-    """
-    channel = _HUE_CHANNEL[hue]
-    gray, _centers = render_gray_cached(spec)
-    img = np.stack([gray * 0.3] * 3, axis=-1)
-    mask = gray > 0.5
-    if channel is None:  # yellow = red + green
-        img[mask, 0] = gray[mask]
-        img[mask, 1] = gray[mask]
-    else:
-        img[mask, channel] = gray[mask]
-    return img
-
-
 # -- integral-image primitives ---------------------------------------------------
-def integral_image(img: np.ndarray) -> np.ndarray:
+def integral_image(img: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     """Summed-area table with a zero border row/column.
 
     ``ii[y, x]`` is the sum of ``img[:y, :x]``; any axis-aligned box sum
     is then four lookups — the trick that makes Haar cascades fast.
+    ``out``, when given, is a zero-bordered array one row and column
+    larger than ``img``; only its interior is written.
     """
-    ii = np.zeros((img.shape[0] + 1, img.shape[1] + 1), dtype=np.float64)
-    np.cumsum(np.cumsum(img, axis=0), axis=1, out=ii[1:, 1:])
+    ii = np.zeros((img.shape[0] + 1, img.shape[1] + 1)) if out is None else out
+    body = ii[1:, 1:]
+    # Rows then columns, both straight into ``ii``: the additions of
+    # ``cumsum(cumsum(img, 0), 1)`` in their order, with no intermediate.
+    np.cumsum(img, axis=0, out=body)
+    np.cumsum(body, axis=1, out=body)
     return ii
-
-
-def box_sum(ii: np.ndarray, y0, x0, y1, x1):
-    """Sum of ``img[y0:y1, x0:x1]`` from an integral image (vectorizable).
-
-    Accepts scalars or equal-shaped index arrays.
-    """
-    return ii[y1, x1] - ii[y0, x1] - ii[y1, x0] + ii[y0, x0]
 
 
 def sliding_box_sums(ii: np.ndarray, win: int, stride: int = 2) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -126,9 +113,9 @@ def sliding_box_sums(ii: np.ndarray, win: int, stride: int = 2) -> Tuple[np.ndar
     h, w = ii.shape[0] - 1, ii.shape[1] - 1
     ys = np.arange(0, h - win + 1, stride)
     xs = np.arange(0, w - win + 1, stride)
-    # :func:`box_sum` on the stride grid, as four strided views of ``ii``
-    # (window origins ``top``/``left``, the opposite corners ``far``)
-    # instead of four fancy-index gathers; same terms, same order.
+    # The box sum ``ii[y1, x1] - ii[y0, x1] - ii[y1, x0] + ii[y0, x0]`` of
+    # every window on the stride grid, as four strided views of ``ii``
+    # (window origins ``top``/``left``, the opposite corners ``far``).
     top = slice(0, max(0, h - win + 1), stride)
     left = slice(0, max(0, w - win + 1), stride)
     far = slice(win, None, stride)
@@ -137,33 +124,52 @@ def sliding_box_sums(ii: np.ndarray, win: int, stride: int = 2) -> Tuple[np.ndar
 
 
 # -- detection helpers -----------------------------------------------------------
+#: Blob detector window (one rendered target wide) and mean-intensity cut.
+BLOB_WIN = 2 * TARGET_HALF + 1
+BLOB_THRESHOLD = 0.55
+
+
+def _blob_candidates(
+    ii: np.ndarray,
+    win: int = BLOB_WIN,
+    stride: int = 2,
+    threshold: float = BLOB_THRESHOLD,
+) -> Tuple[List[int], List[int]]:
+    """Centres ``(cys, cxs)`` of the windows whose mean clears
+    ``threshold``, strongest first, from the image's integral image.
+
+    Equal strengths keep the order ``np.argsort(...)[::-1]`` gives them,
+    which the suppression of :func:`detect_blobs` depends on.
+    """
+    sums, ys, xs = sliding_box_sums(ii, win, stride)
+    sums /= win * win  # window means
+    rows, cols = np.nonzero(sums > threshold)
+    order = np.argsort(sums[rows, cols])[::-1]
+    return (ys[rows[order]] + win // 2).tolist(), (xs[cols[order]] + win // 2).tolist()
+
+
 def detect_blobs(
     img: np.ndarray,
-    win: int = 2 * TARGET_HALF + 1,
+    win: int = BLOB_WIN,
     stride: int = 2,
-    threshold: float = 0.55,
+    threshold: float = BLOB_THRESHOLD,
+    ii: Optional[np.ndarray] = None,
 ) -> List[Tuple[int, int]]:
     """Greedy bright-blob detector over integral-image window means.
 
     A window fires when its mean intensity clears ``threshold``;
     overlapping detections are suppressed greedily (strongest first).
     Used by BCP's counters and tested against planted ground truth.
+    ``ii`` is the buffer :func:`integral_image` builds in, if given.
     """
-    ii = integral_image(img)
-    sums, ys, xs = sliding_box_sums(ii, win, stride)
-    means = sums / (win * win)
-    candidates = np.argwhere(means > threshold)
-    if candidates.size == 0:
-        return []
-    strengths = means[candidates[:, 0], candidates[:, 1]]
-    order = np.argsort(strengths)[::-1]
     picked: List[Tuple[int, int]] = []
-    for idx in order:
-        cy = int(ys[candidates[idx, 0]]) + win // 2
-        cx = int(xs[candidates[idx, 1]]) + win // 2
+    for cy, cx in zip(*_blob_candidates(integral_image(img, ii), win, stride, threshold)):
         # Suppress within a full window radius: two windows overlapping the
         # same blob must not yield two detections.
-        if all(abs(cy - y) >= win or abs(cx - x) >= win for y, x in picked):
+        for y, x in picked:
+            if abs(cy - y) < win and abs(cx - x) < win:
+                break
+        else:
             picked.append((cy, cx))
     return picked
 
@@ -193,7 +199,7 @@ def circularity(patch: np.ndarray) -> float:
 # carries its own pixel seed; no shared RNG stream is consumed), so their
 # results can be cached without perturbing determinism: a hit returns the
 # bit-identical value a recompute would.  Replicated chains (rep-k), the
-# SignalGuru color->shape double render, and post-recovery replays all
+# SignalGuru color->shape double read, and post-recovery replays all
 # re-request the same frames, which made redundant rendering one of the
 # largest CPU sinks of a full sweep.
 #
@@ -201,41 +207,34 @@ def circularity(patch: np.ndarray) -> float:
 # colour and shape of its brightest blob, and EdgeML's first partition
 # embeds the frame as a pooled feature vector.
 #
-# Rendered gray images are large (~150 KB), so that cache stays small; the
-# derived-result caches are tiny tuples and can be generous.  There is no
-# colour cache: the colour detectors read two numbers off the gray frame
-# (see :func:`channel_maxima`) and never render RGB.
+# Memo entries hold derived results, never an image: each memo renders its
+# frame once and reads everything its readers need off it.  SignalGuru's
+# two filters share one memo per frame for that reason.  The entries are
+# small tuples (and EdgeML's 16-vectors), so the caches can be generous.
+#
+# A miss renders into one reused pair of buffers per frame shape (a frame
+# and its integral image, ~0.3 MB at 160x120), so only the newest frame is
+# ever held; no result aliases them.  New arrays of that size, freed after
+# every frame, sit at the top of the C heap, which glibc (2.36) returns to
+# the kernel and faults back in for the next frame: ~73 page faults a
+# render.
 
-_IMAGE_CACHE_SIZE = 32
 _RESULT_CACHE_SIZE = 1 << 16
 #: EdgeML embeddings.  An entry (16 float64s, the array header, the
 #: FrameSpec key, the cache link) measures ~0.54 KB under tracemalloc
 #: (CPython 3.11, numpy 2.4): ~1.6 MiB when full, under 4 MiB even at
 #: 1.3 KB an entry, and room for a whole edgeml-split-sweep (459 frames).
 _EMBEDDING_CACHE_SIZE = 3072
+_SCRATCH: Dict[Tuple[int, int], Tuple[np.ndarray, np.ndarray]] = {}
 
 
-@lru_cache(maxsize=_IMAGE_CACHE_SIZE)
-def render_gray_cached(spec: FrameSpec) -> Tuple[np.ndarray, Tuple[Tuple[int, int], ...]]:
-    """Memoized :func:`render_gray`; the image is returned read-only."""
-    img, centers = render_gray(spec)
-    img.setflags(write=False)
-    return img, tuple(centers)
-
-
-def flatten_channels(img: np.ndarray) -> np.ndarray:
-    """Per-pixel max over the color channels, same values as
-    ``img.max(axis=-1)``.
-
-    A reduction over the short contiguous channel axis is pathologically
-    slow in numpy (~25x slower than three elementwise maximums on our
-    frame sizes); the chained form is bit-identical because ``maximum``
-    is exact.
-    """
-    flat = np.maximum(img[..., 0], img[..., 1])
-    for c in range(2, img.shape[-1]):
-        flat = np.maximum(flat, img[..., c], out=flat)
-    return flat
+def _scratch(spec: FrameSpec) -> Tuple[np.ndarray, np.ndarray]:
+    """The reused ``(frame, integral image)`` buffers for ``spec``'s shape."""
+    shape = (spec.height, spec.width)
+    buffers = _SCRATCH.get(shape)
+    if buffers is None:
+        buffers = _SCRATCH[shape] = (np.empty(shape), np.zeros((shape[0] + 1, shape[1] + 1)))
+    return buffers
 
 
 @lru_cache(maxsize=_RESULT_CACHE_SIZE)
@@ -245,48 +244,61 @@ def count_blobs(spec: FrameSpec) -> int:
     Equivalent to ``len(detect_blobs(render_gray(spec)[0]))``; this is
     BCP's face-count path, shared across replicas and replays.
     """
-    img, _centers = render_gray_cached(spec)
-    return len(detect_blobs(img))
+    img, ii = _scratch(spec)
+    render_gray(spec, out=img)
+    return len(detect_blobs(img, ii=ii))
 
 
-# The two colour detectors below never render RGB.  :func:`render_color`
-# dims every channel to ``gray * 0.3`` and restores full ``gray`` on the
-# hue's channel(s) where ``gray > 0.5``, so a channel the hue lights is
+# SignalGuru's colour detectors never render RGB.  An RGB rendering of a
+# hue dims every channel to ``gray * 0.3`` and restores full ``gray`` on
+# the hue's channel(s) where ``gray > 0.5``, so a channel the hue lights is
 # ``where(gray > 0.5, gray, gray * 0.3)`` — which is also the per-pixel
 # channel maximum, for all three hues — and any other channel is
 # ``gray * 0.3``.  The tests hold both against the rendered reference.
 
 
 @lru_cache(maxsize=_RESULT_CACHE_SIZE)
+def _signal_frame(spec: FrameSpec) -> Tuple[float, Optional[Tuple[int, int, float]]]:
+    """``(peak, top)`` of one render: the gray maximum and the strongest
+    blob ``(cy, cx, circularity)`` of the channel maximum, or None.
+
+    The strongest blob is the first candidate, which suppression always
+    keeps, so no suppression runs.
+    """
+    half = 6
+    img, ii = _scratch(spec)
+    render_gray(spec, out=img)
+    peak = float(img.max())
+    # In place, the channel maximum ``where(gray > 0.5, gray, gray * 0.3)``.
+    np.multiply(img, 0.3, out=img, where=img <= 0.5)
+    cys, cxs = _blob_candidates(integral_image(img, out=ii))
+    if not cys:
+        return peak, None
+    cy, cx = cys[0], cxs[0]
+    patch = img[max(0, cy - half):cy + half, max(0, cx - half):cx + half]
+    return peak, (cy, cx, circularity(patch))
+
+
 def channel_maxima(spec: FrameSpec, hue: str) -> Tuple[float, float]:
     """``(red_max, green_max)`` of the frame's color rendering."""
     channel = _HUE_CHANNEL[hue]
-    peak = float(render_gray_cached(spec)[0].max())
+    peak = _signal_frame(spec)[0]
     dim = peak * 0.3  # scaling by a positive constant commutes with max
     lit = peak if peak > 0.5 else dim
     return (dim if channel == 1 else lit), (dim if channel == 0 else lit)
 
 
-@lru_cache(maxsize=_RESULT_CACHE_SIZE)
-def brightest_blob(
-    spec: FrameSpec, hue: str, half: int = 6
-) -> Optional[Tuple[int, int, float]]:
+def brightest_blob(spec: FrameSpec, hue: str) -> Optional[Tuple[int, int, float]]:
     """Strongest blob of the flattened color frame plus its circularity.
 
     Returns ``(cy, cx, circularity)`` or None when no blob clears the
-    detector threshold — exactly the values SignalGuru's shape filter
-    used to recompute per replica from a fresh render.
+    detector threshold.  Every hue flattens to the same image, so the
+    result depends on ``hue`` only through the ``KeyError`` an unknown
+    hue raises.
     """
     if hue not in _HUE_CHANNEL:
         raise KeyError(hue)
-    gray, _centers = render_gray_cached(spec)
-    img = np.where(gray > 0.5, gray, gray * 0.3)
-    blobs = detect_blobs(img)
-    if not blobs:
-        return None
-    cy, cx = blobs[0]
-    patch = img[max(0, cy - half):cy + half, max(0, cx - half):cx + half]
-    return cy, cx, circularity(patch)
+    return _signal_frame(spec)[1]
 
 
 @lru_cache(maxsize=_EMBEDDING_CACHE_SIZE)
@@ -296,10 +308,9 @@ def pooled_features(spec: FrameSpec) -> np.ndarray:
     A 4x4 grid of block means over the grayscale render — the input
     embedding EdgeML's first partition feeds the network.  Brighter
     blocks mean more targets, so the vector genuinely carries the class
-    signal.  It renders with plain :func:`render_gray`, so EdgeML frames
-    never evict the images SignalGuru's colour/shape pair re-reads.
+    signal.
     """
-    img, _centers = render_gray(spec)
+    img, _centers = render_gray(spec, out=_scratch(spec)[0])
     h, w = img.shape
     gh, gw = h // 4, w // 4
     pooled = img[: gh * 4, : gw * 4].reshape(4, gh, 4, gw).mean(axis=(1, 3))
@@ -310,8 +321,6 @@ def pooled_features(spec: FrameSpec) -> np.ndarray:
 
 def clear_vision_caches() -> None:
     """Drop all memoized rendering/detection results (tests, memory)."""
-    render_gray_cached.cache_clear()
-    pooled_features.cache_clear()
     count_blobs.cache_clear()
-    channel_maxima.cache_clear()
-    brightest_blob.cache_clear()
+    _signal_frame.cache_clear()
+    pooled_features.cache_clear()

@@ -7,15 +7,79 @@ from hypothesis import strategies as st
 
 from repro.apps import vision
 from repro.apps.vision import (
+    BACKGROUND_NOISE,
+    TARGET_HALF,
+    TARGET_INTENSITY,
     FrameSpec,
-    box_sum,
     circularity,
     detect_blobs,
     integral_image,
-    render_color,
     render_gray,
     sliding_box_sums,
 )
+
+#: The frame sizes the property tests draw from.
+SIZES = [(160, 120), (80, 60), (64, 48), (40, 32)]
+
+
+# -- reference oracles -----------------------------------------------------------
+# Straightforward forms of what ``repro.apps.vision`` computes another way; the
+# fast paths must equal them bit for bit.
+def box_sum(ii, y0, x0, y1, x1):
+    """Sum of ``img[y0:y1, x0:x1]`` from an integral image (vectorizable)."""
+    return ii[y1, x1] - ii[y0, x1] - ii[y1, x0] + ii[y0, x0]
+
+
+def render_color(spec, hue):
+    """RGB frame with ``spec.n_targets`` blobs of a signal hue."""
+    channel = {"red": 0, "yellow": None, "green": 1}[hue]
+    gray, _centers = render_gray(spec)
+    img = np.stack([gray * 0.3] * 3, axis=-1)
+    mask = gray > 0.5
+    if channel is None:  # yellow = red + green
+        img[mask, 0] = gray[mask]
+        img[mask, 1] = gray[mask]
+    else:
+        img[mask, channel] = gray[mask]
+    return img
+
+
+def render_gray_clipped(spec):
+    """The render with a scaled copy and ``np.clip``, no in-place step."""
+    rng = spec.rng()
+    img = rng.random((spec.height, spec.width)) * BACKGROUND_NOISE
+    centers = []
+    margin = 3 * TARGET_HALF
+    for _ in range(spec.n_targets):
+        for _attempt in range(50):
+            cy = int(rng.integers(margin, spec.height - margin))
+            cx = int(rng.integers(margin, spec.width - margin))
+            if all(abs(cy - y) + abs(cx - x) > 4 * TARGET_HALF for y, x in centers):
+                break
+        centers.append((cy, cx))
+        img[cy - TARGET_HALF:cy + TARGET_HALF + 1,
+            cx - TARGET_HALF:cx + TARGET_HALF + 1] += TARGET_INTENSITY
+    return np.clip(img, 0.0, 1.0), centers
+
+
+def detect_blobs_generator(img, win=2 * TARGET_HALF + 1, stride=2, threshold=0.55):
+    """The detector as one loop over ``argwhere`` candidates, suppressing
+    with an ``all(...)`` generator."""
+    ii = integral_image(img)
+    sums, ys, xs = sliding_box_sums(ii, win, stride)
+    means = sums / (win * win)
+    candidates = np.argwhere(means > threshold)
+    if candidates.size == 0:
+        return []
+    strengths = means[candidates[:, 0], candidates[:, 1]]
+    order = np.argsort(strengths)[::-1]
+    picked = []
+    for idx in order:
+        cy = int(ys[candidates[idx, 0]]) + win // 2
+        cx = int(xs[candidates[idx, 1]]) + win // 2
+        if all(abs(cy - y) >= win or abs(cx - x) >= win for y, x in picked):
+            picked.append((cy, cx))
+    return picked
 
 
 def test_frame_rendering_deterministic():
@@ -134,8 +198,7 @@ def test_color_fast_paths_equal_rendered_reference():
             img = render_color(spec, hue)
             assert vision.channel_maxima(spec, hue) == (
                 float(img[..., 0].max()), float(img[..., 1].max()))
-            flat = vision.flatten_channels(img)
-            assert np.array_equal(flat, img.max(axis=-1))
+            flat = img.max(axis=-1)
             blobs = detect_blobs(flat)
             expected = None
             if blobs:
@@ -200,3 +263,93 @@ def test_clear_vision_caches_empties_the_embedding_cache():
     assert vision.pooled_features.cache_info().currsize > 0
     vision.clear_vision_caches()
     assert vision.pooled_features.cache_info().currsize == 0
+
+
+# -- the rewritten primitives against their straightforward forms --------------
+_frames = dict(
+    seed=st.integers(0, 2**31 - 1),
+    size=st.sampled_from(SIZES),
+    n_targets=st.integers(0, 12),
+)
+
+
+def _spec(seed, size, n_targets):
+    return FrameSpec(seed=seed, width=size[0], height=size[1], n_targets=n_targets)
+
+
+@settings(max_examples=80, deadline=None)
+@given(**_frames)
+def test_render_gray_equals_clipped_render(seed, size, n_targets):
+    spec = _spec(seed, size, n_targets)
+    img, centers = render_gray(spec)
+    expected, expected_centers = render_gray_clipped(spec)
+    assert img.dtype == expected.dtype and img.shape == expected.shape
+    assert img.tobytes() == expected.tobytes()
+    assert centers == expected_centers
+    out = np.full(img.shape, np.nan)
+    assert render_gray(spec, out)[0] is out
+    assert out.tobytes() == expected.tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(**_frames)
+def test_integral_image_equals_nested_cumsum(seed, size, n_targets):
+    img, _centers = render_gray(_spec(seed, size, n_targets))
+    expected = np.zeros((img.shape[0] + 1, img.shape[1] + 1))
+    expected[1:, 1:] = np.cumsum(np.cumsum(img, axis=0), axis=1)
+    assert integral_image(img).tobytes() == expected.tobytes()
+    out = np.zeros_like(expected)
+    out[1:, 1:] = np.nan  # a reused buffer: only its border is zero
+    assert integral_image(img, out) is out
+    assert out.tobytes() == expected.tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(**_frames, flatten=st.booleans())
+def test_detect_blobs_equals_generator_form(seed, size, n_targets, flatten):
+    img, _centers = render_gray(_spec(seed, size, n_targets))
+    if flatten:
+        img = np.where(img > 0.5, img, img * 0.3)
+    assert detect_blobs(img) == detect_blobs_generator(img)
+
+
+@pytest.mark.parametrize("win,stride,threshold", [(5, 1, 0.5), (3, 2, 0.3), (11, 3, 0.55)])
+def test_detect_blobs_equals_generator_form_on_ties(win, stride, threshold):
+    """Quantised pixels make many equal window means: ties break alike."""
+    for seed in range(40):
+        img = np.round(np.random.default_rng(seed).random((40, 50)) * 4) / 4
+        assert detect_blobs(img, win, stride, threshold) == \
+            detect_blobs_generator(img, win, stride, threshold)
+
+
+@settings(max_examples=80, deadline=None)
+@given(**_frames, hue=st.sampled_from(["red", "yellow", "green"]))
+def test_brightest_blob_is_first_detection(seed, size, n_targets, hue):
+    spec = _spec(seed, size, n_targets)
+    gray, _centers = render_gray(spec)
+    img = np.where(gray > 0.5, gray, gray * 0.3)
+    blobs = detect_blobs(img)
+    expected = None
+    if blobs:
+        cy, cx = blobs[0]
+        expected = (cy, cx, circularity(img[max(0, cy - 6):cy + 6, max(0, cx - 6):cx + 6]))
+    assert vision.brightest_blob(spec, hue) == expected
+
+
+# -- the memo layer ----------------------------------------------------------------
+def test_clear_vision_caches_empties_every_memo():
+    """Every ``lru_cache`` in the module, listed or not, is cleared: one
+    left out would turn cold-cache tests warm and skew the e2e
+    ``apps.render_*`` counters, which sum them all."""
+    for spec in _seeded_specs(6):
+        vision.count_blobs(spec)
+        vision.channel_maxima(spec, "red")
+        vision.brightest_blob(spec, "green")
+        vision.pooled_features(spec)
+    memos = {name: fn for name, fn in vars(vision).items() if hasattr(fn, "cache_info")}
+    assert memos, "repro.apps.vision memoizes nothing"
+    assert all(fn.cache_info().currsize > 0 for fn in memos.values()), {
+        name: fn.cache_info() for name, fn in memos.items()}
+    vision.clear_vision_caches()
+    assert {name: fn.cache_info().currsize for name, fn in memos.items()} == dict.fromkeys(memos, 0)
+

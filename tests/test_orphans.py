@@ -30,10 +30,7 @@ ALLOWLIST = {
     "apps/registry.py:unregister_app": "fixture: registry tests undo their registrations",
     "apps/signalguru/svm.py:LinearSVM.accuracy": "observer: SVM training and online updates",
     "apps/signalguru/svm.py:LinearSVM.fit": "fixture: the norm and snapshot tests",
-    "apps/vision.py:box_sum": "oracle: the integral-image window sums",
     "apps/vision.py:clear_vision_caches": "fixture: cold render caches for the fast-path tests",
-    "apps/vision.py:flatten_channels": "oracle: the gray fast paths must equal it",
-    "apps/vision.py:render_color": "oracle: the RGB render the fast paths must equal",
     "checkpoint/store.py:CheckpointStore.is_complete": "observer: checkpoint commit",
     "checkpoint/store.py:CheckpointStore.state_for": "observer: stored snapshot contents",
     "checkpoint/token_protocol.py:TokenTracker.is_done": "observer: token rounds",
