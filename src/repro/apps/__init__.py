@@ -36,7 +36,6 @@ from repro.apps.registry import (
     create_app,
     get_app,
     register_app,
-    unregister_app,
 )
 from repro.apps.signalguru.app import SignalGuruApp, SignalGuruParams
 
@@ -76,5 +75,4 @@ __all__ = [
     "get_app",
     "register_app",
     "stage",
-    "unregister_app",
 ]

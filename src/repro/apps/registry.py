@@ -259,20 +259,14 @@ def register_app(
     factory: Callable[..., AppSpec],
     params_cls: Optional[type] = None,
     description: str = "",
-    replace: bool = False,
 ) -> AppEntry:
     """Register an application under ``name``; returns its entry."""
-    if name in _REGISTRY and not replace:
+    if name in _REGISTRY:
         raise ValueError(f"app {name!r} is already registered")
     entry = AppEntry(name=name, factory=factory, params_cls=params_cls,
                      description=description)
     _REGISTRY[name] = entry
     return entry
-
-
-def unregister_app(name: str) -> None:
-    """Drop a registered app (no-op if absent)."""
-    _REGISTRY.pop(name, None)
 
 
 def app_names() -> List[str]:

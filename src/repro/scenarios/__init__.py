@@ -21,15 +21,13 @@ from repro.scenarios.executor import (
     shutdown_pool,
     spec_digest,
 )
-from repro.scenarios.registry import all_specs, get, names, register, unregister
+from repro.scenarios.registry import all_specs, get, names, register
 from repro.scenarios.runner import (
     CaseResult,
     build_system,
     case_to_dict,
     case_to_type,
-    register_scheme,
     run_case,
-    unregister_scheme,
 )
 from repro.scenarios.spec import (
     EventSpec,
@@ -55,11 +53,8 @@ __all__ = [
     "get",
     "names",
     "register",
-    "register_scheme",
     "run_case",
     "run_sweep",
     "shutdown_pool",
     "spec_digest",
-    "unregister",
-    "unregister_scheme",
 ]

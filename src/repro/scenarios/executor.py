@@ -120,11 +120,6 @@ _WORKER_VERIFY: bool = False
 
 def _init_worker(spec_dict: Dict[str, Any], verify: bool = False) -> None:
     global _WORKER_SPEC, _WORKER_VERIFY
-    if os.environ.get("REPRO_ENABLE_TEST_SCHEMES"):
-        # Arm the chaos test schemes in every worker so a spec whose
-        # matrix names them validates and executes here too.
-        from repro.scenarios.testing import ensure_registered
-        ensure_registered()
     _WORKER_SPEC = ScenarioSpec.from_dict(spec_dict)
     _WORKER_VERIFY = verify
 

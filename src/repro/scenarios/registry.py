@@ -15,17 +15,12 @@ from repro.scenarios.spec import ScenarioSpec
 _REGISTRY: Dict[str, ScenarioSpec] = {}
 
 
-def register(spec: ScenarioSpec, replace: bool = False) -> ScenarioSpec:
+def register(spec: ScenarioSpec) -> ScenarioSpec:
     """Add ``spec`` under its name; returns it for chaining."""
-    if spec.name in _REGISTRY and not replace:
+    if spec.name in _REGISTRY:
         raise ValueError(f"scenario {spec.name!r} is already registered")
     _REGISTRY[spec.name] = spec
     return spec
-
-
-def unregister(name: str) -> None:
-    """Drop a registered scenario (no-op if absent)."""
-    _REGISTRY.pop(name, None)
 
 
 def get(name: str) -> ScenarioSpec:

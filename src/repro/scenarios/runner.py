@@ -37,39 +37,13 @@ from repro.scenarios.spec import ScenarioSpec
 from repro.telemetry import QoSMonitor, TelemetrySnapshot, Timeline
 
 
-#: Extra scheme labels registered at runtime (fault-injection fixtures,
-#: experiment variants).  Factories here take no arguments; they shadow
-#: nothing — built-in labels stay first and cannot be overridden.
-_EXTRA_SCHEMES: Dict[str, Callable] = {}
-
-
-def register_scheme(label: str, factory: Callable) -> None:
-    """Add a scheme label to the comparison set at runtime.
-
-    ``factory`` is a zero-argument callable producing a fresh scheme
-    instance per case.  Built-in labels cannot be shadowed; registering
-    an already-registered extra label raises too (unregister first).
-    """
-    if label in scheme_factories() or label in _EXTRA_SCHEMES:
-        raise ValueError(f"scheme label {label!r} is already registered")
-    _EXTRA_SCHEMES[label] = factory
-
-
-def unregister_scheme(label: str) -> None:
-    """Remove a runtime-registered scheme label (unknown labels are a
-    no-op so teardown paths can call this unconditionally)."""
-    _EXTRA_SCHEMES.pop(label, None)
-
-
 def scheme_factories(checkpoint_period_s: float = 300.0) -> Dict[str, Callable]:
     """The Section IV-B comparison set, keyed by figure label.
 
     ``checkpoint_period_s`` drives the periodic baselines; MobiStreams
     takes its period from the controller's checkpoint clock instead.
-    Runtime-registered extras (:func:`register_scheme`) appear after the
-    built-ins.
     """
-    factories: Dict[str, Callable] = {
+    return {
         "base": NoFaultTolerance,
         "rep-2": lambda: ActiveStandby(2),
         "local": lambda: LocalCheckpoint(period_s=checkpoint_period_s),
@@ -78,8 +52,6 @@ def scheme_factories(checkpoint_period_s: float = 300.0) -> Dict[str, Callable]:
         "dist-3": lambda: DistributedCheckpoint(3, period_s=checkpoint_period_s),
         "ms-8": MobiStreamsScheme,
     }
-    factories.update(_EXTRA_SCHEMES)
-    return factories
 
 
 def scheme_factory(scheme: str, checkpoint_period_s: float = 300.0) -> Callable:

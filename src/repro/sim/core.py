@@ -18,7 +18,6 @@ from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple
 from repro.sim.events import (  # noqa: F401  (NORMAL/URGENT re-exported)
     NORMAL,
     URGENT,
-    _DEAD_DROPPED,
     AllOf,
     Callback,
     Event,
@@ -47,11 +46,6 @@ class Simulator:
         assert proc.value == "done"
     """
 
-    #: Compaction trigger: once at least this many cancelled entries are
-    #: queued *and* they outnumber live ones, the queue is rebuilt.  The
-    #: floor keeps tiny queues from compacting on every cancellation.
-    COMPACT_MIN_DEAD = 64
-
     def __init__(self, start_time: float = 0.0) -> None:
         self._now = float(start_time)
         self._queue: List[Tuple[float, int, int, Event]] = []
@@ -59,8 +53,6 @@ class Simulator:
         # once per scheduled event, so it must not cost a Python frame.
         self._push = partial(heapq.heappush, self._queue)
         self._seq = 0
-        #: Cancelled-but-still-queued entries (lazy deletion bookkeeping).
-        self.dead_entries = 0
         #: Events processed so far (the work count behind ``sim.events``);
         #: current on every event, so observers sampling mid-run see it.
         self.events_processed = 0
@@ -115,31 +107,27 @@ class Simulator:
         already scheduled).
 
         This is the sampling hook for periodic observers (telemetry):
-        each firing schedules only the next one, and cancelling also
-        cancels the in-flight event, so a dead sampler leaves nothing in
-        the queue.  An active sampler keeps the queue non-empty forever —
+        each firing schedules only the next one.  A cancelled sampler's
+        pending call still pops once, runs nothing and schedules no
+        successor.  An active sampler keeps the queue non-empty forever —
         pair it with ``run(until=...)`` or cancel it before a final drain.
         """
         if interval <= 0:
             raise ValueError(f"interval must be positive, got {interval}")
-        # [cancelled?, pending Callback] — one shared cell per sampler.
-        state: List[Any] = [False, None]
+        cancelled = False
 
         def _fire() -> None:
-            if state[0]:
+            if cancelled:
                 return
             fn(*args)
-            if not state[0]:
-                state[1] = Callback(self, interval, _fire, ())
+            if not cancelled:
+                Callback(self, interval, _fire, ())
 
-        state[1] = Callback(self, interval, _fire, ())
+        Callback(self, interval, _fire, ())
 
         def cancel() -> None:
-            state[0] = True
-            pending = state[1]
-            if pending is not None:
-                pending.cancel()
-                state[1] = None
+            nonlocal cancelled
+            cancelled = True
 
         return cancel
 
@@ -150,43 +138,6 @@ class Simulator:
         """Insert a triggered event into the queue (internal)."""
         self._seq += 1
         self._push((self._now + delay, priority, self._seq, event))
-
-    def _queued(self) -> int:
-        """Entries currently scheduled (live + cancelled)."""
-        return len(self._queue)
-
-    def _note_cancelled(self) -> None:
-        """Bookkeeping for a lazily-deleted (cancelled) queue entry.
-
-        Cancelled entries normally just sit until their deadline pops
-        them as no-ops; when they outnumber live entries the queue is
-        compacted wholesale so ghost timers can't dominate push/pop
-        costs in churn-heavy workloads.
-        """
-        self.dead_entries += 1
-        if (
-            self.dead_entries >= self.COMPACT_MIN_DEAD
-            and self.dead_entries * 2 >= self._queued()
-        ):
-            self._compact()
-
-    def _compact(self) -> None:
-        """Rebuild the queue without its cancelled entries.
-
-        Removed timeouts are flagged ``_DEAD_DROPPED`` so a later
-        ``add_callback`` revival knows no queue entry survives and
-        re-pushes one at the stored deadline.
-        """
-        # In-place so run()'s local alias to the list stays valid.
-        live = []
-        for item in self._queue:
-            if item[3].callbacks is not None:
-                live.append(item)
-            else:
-                item[3]._cancelled = _DEAD_DROPPED
-        self._queue[:] = live
-        heapq.heapify(self._queue)
-        self.dead_entries = 0
 
     def run(self, until: Optional[float] = None) -> None:
         """Run until the queue drains or the clock reaches ``until``.
@@ -200,11 +151,8 @@ class Simulator:
             stopper = self.timeout(until - self._now)
             stopper.add_callback(self._stop_callback)
         # Hot loop: locals instead of attribute lookups, no per-event
-        # method call.  A cancelled entry reaching its deadline runs
-        # nothing but still counts as processed; clearing its flag makes
-        # a later add_callback fire immediately (expired timeout) instead
-        # of reviving an entry that no longer exists.  An un-handled
-        # failure is surfaced rather than lost.
+        # method call.  An un-handled failure is surfaced rather than
+        # lost.
         queue = self._queue
         heappop = heapq.heappop
         try:
@@ -212,10 +160,6 @@ class Simulator:
                 self._now, _prio, _seq, event = heappop(queue)
                 self.events_processed += 1
                 callbacks, event.callbacks = event.callbacks, None
-                if callbacks is None:
-                    event._cancelled = False
-                    self.dead_entries -= 1
-                    continue
                 for callback in callbacks:
                     callback(event)
                 if event._ok is False and not event._defused:
@@ -230,4 +174,4 @@ class Simulator:
         raise StopSimulation()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<Simulator t={self._now:.6f} queued={self._queued()}>"
+        return f"<Simulator t={self._now:.6f} queued={len(self._queue)}>"

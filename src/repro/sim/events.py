@@ -29,14 +29,6 @@ URGENT = 0
 #: Priority for normal events.
 NORMAL = 1
 
-#: ``Timeout._cancelled`` states (``False`` means live or already fired).
-#: A cancelled timeout's queue entry either still sits in the schedule
-#: (lazy deletion) or has been physically removed by a wholesale
-#: compaction — reviving it must know which, because only in the first
-#: case is there an entry left to un-mark.
-_DEAD_QUEUED = 1
-_DEAD_DROPPED = 2
-
 
 class Event:
     """A one-shot occurrence that callbacks and processes can wait on.
@@ -137,9 +129,14 @@ class Event:
 
 
 class Timeout(Event):
-    """An event that fires ``delay`` units of virtual time in the future."""
+    """An event that fires ``delay`` units of virtual time in the future.
 
-    __slots__ = ("delay", "deadline", "_cancelled")
+    A timeout cannot be withdrawn: one that nothing waits on any more
+    still pops at its deadline, runs no callback and counts as one
+    processed event.
+    """
+
+    __slots__ = ("delay", "deadline")
 
     def __init__(self, sim: "Simulator", delay: float, value: Any = None) -> None:
         if delay < 0:
@@ -152,55 +149,10 @@ class Timeout(Event):
         self._value = value
         self._ok = True
         self._defused = False
-        self._cancelled = False
         self.delay = delay
         self.deadline = sim._now + delay
         sim._seq += 1
         sim._push((self.deadline, NORMAL, sim._seq, self))
-
-    def cancel(self) -> None:
-        """Lazily delete this timeout from the schedule.
-
-        The queue entry stays put (removing from the middle of a heap is
-        O(n)) but is marked dead: popping it runs nothing, and when dead
-        entries outnumber live ones the simulator compacts the queue
-        wholesale.  Any callbacks still attached are discarded — only
-        cancel a timeout nothing else is waiting on.  A no-op once the
-        timeout has fired.
-        """
-        if self.callbacks is not None:
-            self._cancelled = _DEAD_QUEUED
-            self.callbacks = None
-            self.sim._note_cancelled()
-
-    def add_callback(self, callback: Callable[["Event"], None]) -> None:
-        """Attach ``callback``; re-arms the timeout if it was cancelled."""
-        if self.callbacks is not None:
-            self.callbacks.append(callback)
-            return
-        state = self._cancelled
-        if not state:
-            # Fired (or its dead entry already popped at the deadline):
-            # run immediately, like any processed event.
-            callback(self)
-            return
-        # Cancelled before its deadline: attaching a listener revives it
-        # so it fires at the original deadline.
-        self._cancelled = False
-        sim = self.sim
-        if state == _DEAD_QUEUED:
-            # The lazily-deleted entry is still in the queue — un-mark it.
-            self.callbacks = [callback]
-            sim.dead_entries -= 1
-        elif self.deadline >= sim._now:
-            # Compaction dropped the entry; schedule a fresh one.
-            self.callbacks = [callback]
-            sim._seq += 1
-            sim._push((self.deadline, NORMAL, sim._seq, self))
-        else:
-            # Dropped by compaction and the deadline has since passed:
-            # behave like an expired timeout and run immediately.
-            callback(self)
 
     def succeed(self, value: Any = None) -> "Event":  # pragma: no cover
         raise RuntimeError("Timeout events trigger themselves")
@@ -238,7 +190,6 @@ class Callback(Timeout):
         self._value = None
         self._ok = True
         self._defused = False
-        self._cancelled = False
         self.delay = delay
         self.deadline = sim._now + delay
         self._fn = fn
@@ -278,26 +229,7 @@ class AllOf(Event):
         if not event._ok:
             event.defuse()
             self.fail(event._value)
-            self._detach_pending()
             return
         self._count += 1
         if self._count == len(self._events):
             self.succeed()
-
-    def _detach_pending(self) -> None:
-        """Stop listening to sub-events once a sub-event has failed.
-
-        The still-pending sub-events would otherwise hold our ``_check``
-        until they fire; a timeout left with no listeners at all is
-        cancelled outright so ghost timers don't occupy the queue until
-        their deadlines in churn-heavy workloads.
-        """
-        for ev in self._events:
-            cbs = ev.callbacks
-            if cbs:
-                try:
-                    cbs.remove(self._check)
-                except ValueError:
-                    continue
-                if not cbs and isinstance(ev, Timeout):
-                    ev.cancel()

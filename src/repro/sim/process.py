@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Generator, Optional
 
-from repro.sim.events import PENDING, Event, Timeout
+from repro.sim.events import PENDING, Event
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.core import Simulator
@@ -128,13 +128,6 @@ class Process(Event):
                 target.callbacks.remove(self._resume)
             except ValueError:
                 pass
-            else:
-                if not target.callbacks and type(target) is Timeout:
-                    # A pre-empted plain timeout with no other listener
-                    # would sit in the queue as a ghost until its
-                    # deadline; cancel it so interrupt-heavy workloads
-                    # (failure storms, churn) don't drag dead timers.
-                    target.cancel()
         self._target = None
         sim = self.sim
         generator = self._generator
@@ -173,12 +166,6 @@ class Process(Event):
             if callbacks is not None:
                 self._target = next_event
                 callbacks.append(self._resume)
-                return
-            if isinstance(next_event, Timeout):
-                # Fired or cancelled: add_callback resumes us now or
-                # revives the timeout at its deadline.
-                self._target = next_event
-                next_event.add_callback(self._resume)
                 return
             event = next_event
 

@@ -5,13 +5,13 @@ import json
 import pytest
 
 import repro.apps  # noqa: F401  (registers the built-ins)
+from repro.apps import registry
 from repro.apps.registry import (
     AppRef,
     app_names,
     create_app,
     get_app,
     register_app,
-    unregister_app,
 )
 from repro.core.app import AppSpec
 
@@ -71,16 +71,14 @@ def test_unknown_app_error_lists_candidates():
         get_app("nope")
 
 
-def test_duplicate_registration_rejected_unless_replace():
+def test_duplicate_registration_rejected():
     entry = get_app("bcp")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="already registered"):
         register_app("bcp", entry.factory, entry.params_cls)
-    register_app("bcp", entry.factory, entry.params_cls,
-                 description=entry.description, replace=True)
-    assert get_app("bcp").factory is entry.factory
+    assert get_app("bcp") is entry
 
 
-def test_register_and_unregister_custom_app():
+def test_register_and_unregister_custom_app(monkeypatch):
     class TinyApp(AppSpec):
         name = "tiny"
 
@@ -93,13 +91,12 @@ def test_register_and_unregister_custom_app():
         def build_workloads(self, rng, region_index):  # pragma: no cover
             raise NotImplementedError
 
-    register_app("tiny", TinyApp)
-    try:
+    with monkeypatch.context() as patch:
+        patch.setattr(registry, "_REGISTRY", dict(registry._REGISTRY))
+        register_app("tiny", TinyApp)
         assert isinstance(create_app("tiny"), TinyApp)
         with pytest.raises(ValueError, match="takes no parameters"):
             create_app({"name": "tiny", "params": {"x": 1}})
-    finally:
-        unregister_app("tiny")
     assert "tiny" not in app_names()
 
 

@@ -12,17 +12,10 @@ import os
 
 import pytest
 
-from repro.scenarios.testing import (
-    CHAOS_ERROR,
-    CHAOS_KILL,
-    ENABLE_ENV,
-    KILL_DIR_ENV,
-    KILL_LIMIT_ENV,
-    chaos_schemes,
-)
 from repro.scenarios import executor
 from repro.scenarios.executor import CaseCache, run_sweep, spec_digest
 from repro.scenarios.spec import MatrixSpec, ScenarioSpec
+from tests._schemes import CHAOS_ERROR, CHAOS_KILL, chaos_schemes
 
 
 def small_spec(**kwargs):
@@ -41,25 +34,29 @@ def _stats():
 
 @pytest.fixture
 def fresh_pool():
-    """Env-sensitive tests must not inherit (or leak) warm pool workers
-    forked under a different environment."""
+    """Pool workers see the chaos schemes only when forked while they
+    are armed: start no sweep on a warm pool from before, and leak none
+    that still has them."""
     executor.shutdown_pool()
     yield
     executor.shutdown_pool()
 
 
+def _needs_fork(jobs):
+    if jobs > 1 and executor._start_method() != "fork":
+        pytest.skip("only forked workers inherit the chaos schemes")
+
+
 def test_sigkilled_pool_worker_costs_one_rebuild_not_the_sweep(
-        tmp_path, monkeypatch, fresh_pool):
+        tmp_path, fresh_pool):
     """S1: a case SIGKILLs its pool worker mid-sweep; the pool is
     rebuilt once, the case retried, and the artifact still matches a
     serial run."""
+    _needs_fork(2)
     kill_dir = tmp_path / "kills"
     kill_dir.mkdir()
-    monkeypatch.setenv(ENABLE_ENV, "1")
-    monkeypatch.setenv(KILL_DIR_ENV, str(kill_dir))
-    monkeypatch.setenv(KILL_LIMIT_ENV, "1")
 
-    with chaos_schemes():
+    with chaos_schemes(kill_dir=str(kill_dir), kill_limit=1):
         spec = small_spec(matrix=MatrixSpec(
             apps=("bcp",), schemes=("base", CHAOS_KILL), seeds=(3, 4)))
         before = _stats()
@@ -81,11 +78,10 @@ def test_sigkilled_pool_worker_costs_one_rebuild_not_the_sweep(
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_raising_case_becomes_an_error_record(tmp_path, jobs, fresh_pool,
-                                              monkeypatch):
+def test_raising_case_becomes_an_error_record(tmp_path, jobs, fresh_pool):
     """S2: a case that raises is retried once, then recorded under the
     envelope's ``errors`` key — and never as an artifact row."""
-    monkeypatch.setenv(ENABLE_ENV, "1")  # register schemes in pool workers
+    _needs_fork(jobs)
     with chaos_schemes():
         spec = small_spec(matrix=MatrixSpec(
             apps=("bcp",), schemes=("base", CHAOS_ERROR), seeds=(3,)))

@@ -29,16 +29,12 @@ def test_get_unknown_name_is_a_helpful_error():
         scenarios.get("nope")
 
 
-def test_register_rejects_duplicates_unless_replace():
-    spec = ScenarioSpec(name="tmp-dup")
-    registry.register(spec)
-    try:
-        with pytest.raises(ValueError):
-            registry.register(spec)
-        registry.register(spec, replace=True)
-    finally:
-        registry.unregister("tmp-dup")
-    assert "tmp-dup" not in scenarios.names()
+def test_register_rejects_duplicates(monkeypatch):
+    monkeypatch.setattr(registry, "_REGISTRY", dict(registry._REGISTRY))
+    spec = registry.register(ScenarioSpec(name="tmp-dup"))
+    with pytest.raises(ValueError, match="already registered"):
+        registry.register(ScenarioSpec(name="tmp-dup"))
+    assert scenarios.get("tmp-dup") is spec
 
 
 def test_every_library_spec_round_trips():

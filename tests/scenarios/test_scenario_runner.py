@@ -10,13 +10,9 @@ import pytest
 from repro.baselines import NoFaultTolerance
 from repro.results import dumps_artifact
 from repro.scenarios.executor import _start_method, run_sweep, shutdown_pool
-from repro.scenarios.runner import (
-    case_to_dict,
-    register_scheme,
-    run_case,
-    unregister_scheme,
-)
+from repro.scenarios.runner import case_to_dict, run_case
 from repro.scenarios.spec import EventSpec, MatrixSpec, ScenarioSpec
+from tests._schemes import extra_schemes
 
 
 def small_spec(**kwargs):
@@ -113,7 +109,7 @@ def test_parallel_sweep_spreads_cases_over_worker_processes(tmp_path):
     equals the serial one and the cases ran in more than one worker
     process.  (The speedup itself is a perf-tier wall-clock gate.)"""
     if _start_method() != "fork":
-        pytest.skip("only forked workers inherit a runtime-registered scheme")
+        pytest.skip("only forked workers inherit a patched scheme table")
     pid_dir = tmp_path / "pids"
     pid_dir.mkdir()
 
@@ -123,14 +119,14 @@ def test_parallel_sweep_spreads_cases_over_worker_processes(tmp_path):
 
     spec = small_spec(matrix=MatrixSpec(
         apps=("bcp",), schemes=("pid-recording",), seeds=(3, 4, 5, 6)))
-    register_scheme("pid-recording", pid_recording)
+    shutdown_pool()
     try:
-        serial = dumps_artifact(run_sweep(spec, jobs=1))
-        for path in pid_dir.iterdir():
-            path.unlink()
-        parallel = dumps_artifact(run_sweep(spec, jobs=2))
+        with extra_schemes({"pid-recording": pid_recording}):
+            serial = dumps_artifact(run_sweep(spec, jobs=1))
+            for path in pid_dir.iterdir():
+                path.unlink()
+            parallel = dumps_artifact(run_sweep(spec, jobs=2))
     finally:
-        unregister_scheme("pid-recording")
         shutdown_pool()
     assert parallel == serial
     workers = {int(path.name) for path in pid_dir.iterdir()}

@@ -4,6 +4,7 @@ import pytest
 
 from repro.sim import Simulator
 from repro.sim.events import AllOf
+from repro.sim.process import Interrupt
 
 
 def test_event_starts_pending():
@@ -148,16 +149,15 @@ def test_cross_simulator_event_rejected_by_condition():
         AllOf(sim1, [t1, t2])
 
 
-def test_all_of_failure_detaches_and_cancels_orphaned_timeout():
+def test_all_of_fails_fast_while_other_sub_events_still_pend():
     """Fail-fast: one failing sub-event fails the AllOf at once; the
-    AllOf then stops listening to the sub-events still pending, and a
-    timeout nothing else listens to is cancelled (one more dead entry)."""
+    sub-events still pending fire later at their own deadlines."""
     sim = Simulator()
     ev = sim.event()
     shared = sim.timeout(5.0)
     orphan = sim.timeout(9.0)
     seen = []
-    shared.add_callback(seen.append)  # keeps ``shared`` live
+    shared.add_callback(seen.append)
     cond = AllOf(sim, [ev, shared, orphan])
     caught = []
 
@@ -171,9 +171,47 @@ def test_all_of_failure_detaches_and_cancels_orphaned_timeout():
     sim.call_in(1.0, ev.fail, ValueError("sub failed"))
     sim.run(until=2.0)
     assert caught == [(1.0, "sub failed")]
-    assert shared.callbacks == [seen.append]
-    assert orphan.callbacks is None
-    assert sim.dead_entries == 1
     sim.run()
     assert seen == [shared]
-    assert sim.dead_entries == 0
+    assert orphan.processed and sim.now == 9.0
+
+
+def test_interrupted_wait_timeout_pops_as_one_event_without_resuming():
+    """A timeout a process stopped waiting on (it was interrupted) still
+    pops at its deadline, resumes nobody and counts as one event."""
+    sim = Simulator()
+    resumed = []
+
+    def sleeper(sim):
+        try:
+            yield sim.timeout(5.0)
+            resumed.append(("timeout", sim.now))
+        except Interrupt:
+            resumed.append(("interrupt", sim.now))
+        yield sim.timeout(10.0)
+        resumed.append(("second", sim.now))
+
+    proc = sim.process(sleeper(sim))
+    sim.call_in(1.0, proc.interrupt)
+    sim.run(until=4.0)
+    before = sim.events_processed
+    sim.run(until=5.5)
+    # Only the t=5 pop and the run's stopper ran in between.
+    assert sim.events_processed - before == 2
+    assert resumed == [("interrupt", 1.0)]
+    sim.run()
+    assert resumed == [("interrupt", 1.0), ("second", 11.0)]
+
+
+def test_cancelled_call_every_pops_its_pending_call_but_never_fires():
+    sim = Simulator()
+    hits = []
+    cancel = sim.call_every(2.0, lambda: hits.append(sim.now))
+    sim.run(until=3.0)
+    cancel()
+    before = sim.events_processed
+    sim.run()
+    assert hits == [2.0]
+    # The call queued for t=4 still pops, and schedules no successor.
+    assert sim.events_processed - before == 1
+    assert sim.now == 4.0

@@ -82,10 +82,10 @@ def test_resource_context_manager():
 def test_free_slot_is_granted_without_an_event():
     sim = Simulator()
     res = Resource(sim, capacity=1)
-    queued = sim._queued()
+    queued = len(sim._queue)
     req = res.request()
     assert req.processed and req.ok and req.value is None
-    assert sim._queued() == queued
+    assert len(sim._queue) == queued
     sim.run()
     assert sim.events_processed == 0
     assert res.count == 1

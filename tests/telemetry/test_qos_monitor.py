@@ -86,6 +86,19 @@ def test_committed_waves_reach_both_commit_handlers(monkeypatch):
     assert result.violations == ()
 
 
+@pytest.mark.parametrize("scheme,recoveries", [("ms-8", 4), ("dist-3", 2)])
+def test_crashes_and_recoveries_reach_the_monitor(scheme, recoveries):
+    """failure-cascade --quick crashes four phones at seed 3, which
+    drives the monitor's ``phone_crashed`` and ``recovery_finished``
+    handlers; its recovery count is the case's own."""
+    spec = dataclasses.replace(get("failure-cascade").quick(),
+                               telemetry=TelemetrySpec(interval_s=10.0))
+    result = run_case(spec, "bcp", scheme, 3)
+    final = result.timeline.final.regions["region0"]
+    assert final.crashes == 4
+    assert final.recoveries == result.recoveries == recoveries
+
+
 def test_metrics_row_identical_with_telemetry_on(telemetry_case):
     """The monitor observes only: enabling it cannot change the row."""
     from repro.scenarios.runner import case_to_dict

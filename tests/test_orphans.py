@@ -27,7 +27,6 @@ PLAIN_DECORATORS = {"property", "setter", "staticmethod", "classmethod", "datacl
 ALLOWLIST = {
     # Fixtures, observers and reference oracles of tests of other behaviour.
     "apps/edgeml/operators.py:PrototypeClassifier.accuracy": "observer: classifier training",
-    "apps/registry.py:unregister_app": "fixture: registry tests undo their registrations",
     "apps/signalguru/svm.py:LinearSVM.accuracy": "observer: SVM training and online updates",
     "apps/signalguru/svm.py:LinearSVM.fit": "fixture: the norm and snapshot tests",
     "apps/vision.py:clear_vision_caches": "fixture: cold render caches for the fast-path tests",

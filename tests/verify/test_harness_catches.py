@@ -13,7 +13,7 @@ import pytest
 
 from repro.scenarios.runner import run_case
 from repro.scenarios.spec import EventSpec, MatrixSpec, ScenarioSpec
-from repro.verify.testing import BROKEN_REPLAY, broken_replay_scheme
+from tests._schemes import BROKEN_REPLAY, broken_replay_scheme
 
 
 def _crash_spec(name="verify-crash"):
@@ -64,8 +64,8 @@ def test_violations_are_deterministic(spec):
 
 
 def test_broken_scheme_unregisters_cleanly():
-    from repro.scenarios.runner import scheme_factories
+    from repro.scenarios import runner
 
     with broken_replay_scheme():
-        assert BROKEN_REPLAY in scheme_factories()
-    assert BROKEN_REPLAY not in scheme_factories()
+        assert BROKEN_REPLAY in runner.scheme_factories()
+    assert BROKEN_REPLAY not in runner.scheme_factories()

@@ -13,7 +13,7 @@ import pytest
 from repro import cli
 from repro.scenarios.spec import EventSpec, MatrixSpec, ScenarioSpec
 from repro.verify.shrink import failing_invariants, shrink
-from repro.verify.testing import BROKEN_REPLAY, broken_replay_scheme
+from tests._schemes import BROKEN_REPLAY, broken_replay_scheme
 
 
 def _noisy_failing_spec():

@@ -4,7 +4,7 @@ sweep — violations ride beside the artifact, never inside it."""
 
 from repro import cli
 from repro.scenarios.spec import EventSpec, MatrixSpec, ScenarioSpec
-from repro.verify.testing import BROKEN_REPLAY, broken_replay_scheme
+from tests._schemes import BROKEN_REPLAY, broken_replay_scheme
 
 
 def _write(tmp_path, spec):
