@@ -240,11 +240,9 @@ class PeriodicCheckpointScheme(FaultToleranceScheme):
         self.buffers.setdefault(edge, deque()).append(tup)
 
     def on_processed(self, node: "NodeRuntime", op_name: str, tup: "StreamTuple") -> None:
-        if tup.emit_key is not None:
-            from_op = tup.emit_key[0]
-            if (from_op, op_name) in self.buffers or from_op in self.region.graph:
-                edge = (from_op, op_name)
-                self.processed[edge] = self.processed.get(edge, 0) + 1
+        if tup.emit_key is not None:  # emitted by an operator of this graph
+            edge = (tup.emit_key[0], op_name)
+            self.processed[edge] = self.processed.get(edge, 0) + 1
 
     # -- replay ------------------------------------------------------------------
     def _replay_into(self, node: "NodeRuntime"):

@@ -48,6 +48,9 @@ class FaultToleranceScheme:
     def attach(self, region: "Region") -> None:
         """Bind to the region; start any periodic processes here."""
         self.region = region
+        # Resolved once: the preservation and replication hooks run per tuple.
+        self._preserved = region.trace.counter("ft.preserved_bytes")
+        self._ft_network = region.trace.counter("ft.network_bytes")
 
     @property
     def trace(self):
@@ -62,11 +65,11 @@ class FaultToleranceScheme:
     # -- measurement helpers ---------------------------------------------------
     def count_preserved(self, n_bytes: float) -> None:
         """Account bytes entering a preservation buffer (Fig. 10a)."""
-        self.trace.count("ft.preserved_bytes", n_bytes)
+        self._preserved.add(n_bytes)
 
     def count_ft_network(self, n_bytes: float) -> None:
         """Account fault-tolerance bytes on the wire (Fig. 10b)."""
-        self.trace.count("ft.network_bytes", n_bytes)
+        self._ft_network.add(n_bytes)
 
     def chain_active(self, chain: int) -> bool:
         """Whether a replication chain is still routing (rep-k marks dead

@@ -112,6 +112,7 @@ class ServerDSPS:
         self.sim = Simulator()
         self.rng = RngRegistry(self.config.master_seed)
         self.trace = Trace()
+        self._ctx = OperatorContext(now=0.0, rng=self.rng, region_name="dc")
         self.cellular = CellularNetwork(self.sim, self.rng, self.config.cellular, trace=self.trace)
         self.ethernet = EthernetSwitch(self.sim, trace=self.trace)
         self.graph: QueryGraph = app.build_graph()
@@ -141,8 +142,10 @@ class ServerDSPS:
 
     # -- plumbing ------------------------------------------------------------
     def operator_context(self) -> OperatorContext:
-        """Context for ``Operator.process`` on the servers."""
-        return OperatorContext(now=self.sim.now, rng=self.rng, region_name="dc")
+        """Context for ``Operator.process`` on the servers: the
+        runtime's one context, stamped with the current time."""
+        self._ctx.now = self.sim.now
+        return self._ctx
 
     def send(self, src: str, dst: str, op_name: str, tup: StreamTuple) -> None:
         """Server-to-server tuple transfer over the switch."""

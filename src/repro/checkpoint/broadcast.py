@@ -220,6 +220,8 @@ def broadcast_checkpoint(
         # Query every receiver for its bitmap (request + reply).
         reply = bitmap_bytes(n_blocks)
         for member in members:
+            if not wifi.is_member(sender):
+                break  # each query would raise Unreachable before its first yield
             if not wifi.is_member(member):
                 continue
             try:

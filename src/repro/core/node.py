@@ -66,6 +66,8 @@ class NodeRuntime:
         self.ops: Dict[str, Operator] = {op.name: op for op, _chain in ops}
         #: op name -> which replication chain this instance belongs to.
         self.op_chain: Dict[str, int] = {op.name: chain for op, chain in ops}
+        #: op name -> downstream op names, copied once here, not per output.
+        self.downstream = {name: region.graph.downstream_of(name) for name in self.ops}
         self.cpu = Resource(self.sim, capacity=phone.config.cores)
         self.alive = True
 
@@ -75,11 +77,9 @@ class NodeRuntime:
         self._blocked: Set[Any] = set()
         self._wake: Optional[Event] = None
         self._seen_keys: Set[Tuple] = set()
-        self._procs: List = []
 
         self._main = self.sim.process(self._run_loop(), name=f"node.{self.id}.loop")
         self._main.defuse()
-        self._procs.append(self._main)
 
     # -- introspection ------------------------------------------------------
     @property
@@ -159,9 +159,8 @@ class NodeRuntime:
         self.alive = False
         self._queues.clear()
         self._blocked.clear()
-        for proc in self._procs:
-            if proc.is_alive:
-                proc.interrupt(PhoneFailure(self.id, reason))
+        if self._main.is_alive:
+            self._main.interrupt(PhoneFailure(self.id, reason))
 
     # -- engine ----------------------------------------------------------------
     def _trigger_wake(self) -> None:
@@ -171,6 +170,12 @@ class NodeRuntime:
     def _next_item(self) -> Optional[Tuple[Any, Tuple]]:
         """Round-robin pop across unblocked, non-empty channels."""
         n = len(self._channel_order)
+        if n == 1:  # the common case; _rr_index stays 0
+            channel = self._channel_order[0]
+            q = self._queues.get(channel)
+            if q and channel not in self._blocked:
+                return channel, q.popleft()
+            return None
         for step in range(n):
             idx = (self._rr_index + step) % n
             channel = self._channel_order[idx]
@@ -259,7 +264,7 @@ class NodeRuntime:
         self.region.scheme.on_source_ingest(self, op_name, tup)
         if forward_copies and self.region.placement.replication_factor > 1:
             # Feed the other chains' source replicas (replication traffic).
-            for r, nid in enumerate(self.region.placement.nodes_for(op_name)):
+            for nid in self.region.placement.nodes_for(op_name):
                 if nid != self.id:
                     self.region.send_source_copy(self, op_name, nid, tup)
         yield from self._process_chain(op_name, tup)
@@ -280,30 +285,33 @@ class NodeRuntime:
         if not self.alive:
             return
 
-        ctx = self.region.operator_context()
+        region = self.region
         try:
-            outputs = op.process(tup, ctx)
+            outputs = op.process(tup, region.operator_context())
         except Exception as exc:
             # An operator bug must not silently kill the whole node loop;
             # the tuple is dropped and the error surfaced in the trace.
-            self.region.trace.count("op_errors")
-            self.region.trace.record(
-                self.sim.now, "op_error", region=self.region.name,
+            region.trace.count("op_errors")
+            region.trace.record(
+                self.sim.now, "op_error", region=region.name,
                 node=self.id, op=op_name, error=repr(exc),
             )
             return
-        self.region.scheme.on_processed(self, op_name, tup)
-        telemetry = self.region.telemetry
+        scheme = region.scheme
+        scheme.on_processed(self, op_name, tup)
+        telemetry = region.telemetry
         if telemetry is not None:
-            telemetry.tuple_complete(self.region.name, op_name, len(outputs))
+            telemetry.tuple_complete(region.name, op_name, len(outputs))
 
         if op.is_sink:
             for out in outputs:
-                self.region.on_sink_output(self, op_name, out)
+                region.on_sink_output(self, op_name, out)
             return
 
+        # Paired dataflows: every operator has one host per chain, so a
+        # replica streams only to the same chain's replicas downstream.
         chain = self.op_chain[op_name]
-        downstream = self.region.graph.downstream_of(op_name)
+        downstream = self.downstream[op_name]
         # The key chains off the *input's* emit key (not just lineage) so
         # that a multi-input operator fed the same source tuple along two
         # paths (diamonds: A->J and L->J) emits distinct keys per path,
@@ -312,17 +320,16 @@ class NodeRuntime:
         for emit_idx, out in enumerate(outputs):
             out.emit_key = (op_name, in_key, emit_idx)
             for d_op in op.route(out, downstream):
-                d_chain = min(chain, len(self.region.placement.nodes_for(d_op)) - 1)
-                if not self.region.scheme.chain_active(d_chain):
+                if not scheme.chain_active(chain):
                     continue  # that dataflow chain is dead (rep-k after loss)
-                target = self.region.placement.node_for(d_op, d_chain)
-                if target == self.id and self.op_chain.get(d_op) == d_chain:
+                target = region.placement.node_for(d_op, chain)
+                if target == self.id and self.op_chain.get(d_op) == chain:
                     # Intra-node data pass: no network, immediate.
-                    self.region.scheme.on_emit(self, op_name, d_op, out, remote=False)
+                    scheme.on_emit(self, op_name, d_op, out, remote=False)
                     yield from self._process_chain(d_op, out)
                 else:
-                    self.region.scheme.on_emit(self, op_name, d_op, out, remote=True)
-                    self.region.route_tuple(self, d_op, out, chain=d_chain)
+                    scheme.on_emit(self, op_name, d_op, out, remote=True)
+                    region.route_tuple(self, d_op, out, chain=chain)
 
     def __repr__(self) -> str:
         state = "alive" if self.alive else "dead"

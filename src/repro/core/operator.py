@@ -33,6 +33,10 @@ if TYPE_CHECKING:  # pragma: no cover
 class OperatorContext:
     """Runtime facilities handed to ``process``.
 
+    A runtime keeps one context and stamps ``now`` before each call, so
+    the object is valid only during one ``process()`` call: an operator
+    must not keep it, and must read ``now`` inside that call.
+
     Attributes
     ----------
     now:
@@ -54,6 +58,10 @@ class Operator(ABC):
 
     #: Default state size for operators that do not override it.
     DEFAULT_STATE_SIZE = 0
+    #: Whether this operator ingests external data.
+    is_source = False
+    #: Whether this operator publishes results.
+    is_sink = False
 
     def __init__(self, name: str) -> None:
         if not name:
@@ -89,16 +97,6 @@ class Operator(ABC):
 
     def restore(self, state: Any) -> None:
         """Reset internal state from a :meth:`snapshot` object."""
-
-    @property
-    def is_source(self) -> bool:
-        """Whether this operator ingests external data."""
-        return False
-
-    @property
-    def is_sink(self) -> bool:
-        """Whether this operator publishes results."""
-        return False
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<{type(self).__name__} {self.name!r}>"
@@ -158,13 +156,11 @@ class SourceOperator(Operator):
     runtime feeds them (e.g. tuples arriving from an upstream region).
     """
 
+    is_source = True
+
     def __init__(self, name: str, workload: Optional[Any] = None) -> None:
         super().__init__(name)
         self.workload = workload
-
-    @property
-    def is_source(self) -> bool:
-        return True
 
     def bind_workload(self, workload: Any) -> None:
         """Attach/replace the workload iterator."""
@@ -174,26 +170,15 @@ class SourceOperator(Operator):
         """Pass-through: sources forward ingested tuples unchanged."""
         return [tup]
 
-    def cost(self, tup: StreamTuple) -> float:
-        return 1e-4
-
 
 class SinkOperator(Operator):
     """Publishes results (to users and to downstream regions)."""
 
-    def __init__(self, name: str) -> None:
-        super().__init__(name)
-
-    @property
-    def is_sink(self) -> bool:
-        return True
+    is_sink = True
 
     def process(self, tup: StreamTuple, ctx: OperatorContext) -> List[StreamTuple]:
         """Pass-through: the runtime forwards sink outputs across regions."""
         return [tup]
-
-    def cost(self, tup: StreamTuple) -> float:
-        return 1e-4
 
 
 class StatefulOperator(Operator):

@@ -44,8 +44,8 @@ class Placement:
         return list(self._assignment)
 
     def nodes_for(self, op_name: str) -> List[str]:
-        """Hosting node ids for an operator (index = chain)."""
-        return list(self._assignment[op_name])
+        """Hosting node ids for an operator (index = chain); the live list."""
+        return self._assignment[op_name]
 
     def node_for(self, op_name: str, chain: int = 0) -> str:
         """Hosting node of a specific chain of an operator."""

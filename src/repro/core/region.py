@@ -132,6 +132,7 @@ class Region:
         self._driver_started: Set[str] = set()
         self._sink_seen: Set[Tuple] = set()
         self._recovery_ids = itertools.count(1)
+        self._ctx = OperatorContext(now=sim.now, rng=rng, region_name=self.name)
 
         #: Downstream regions: list of (source_node_resolver, region_name).
         self._downstream: List["Region"] = []
@@ -298,6 +299,7 @@ class Region:
 
     def _source_driver(self, op_name: str):
         workload = self._workloads[op_name]
+        inputs = self.trace.counter(f"{self.name}.source_inputs")
         seq = 0
         for wait, payload, size in workload:
             yield self.sim.timeout(wait)
@@ -317,7 +319,7 @@ class Region:
                 lineage=(f"{self.name}.{op_name}", seq),
             )
             seq += 1
-            self.trace.count(f"{self.name}.source_inputs")
+            inputs.add()
             for chain in range(self.placement.replication_factor):
                 if not self.scheme.chain_active(chain):
                     continue
@@ -374,8 +376,10 @@ class Region:
 
     # -- operator services -----------------------------------------------------
     def operator_context(self) -> OperatorContext:
-        """Context passed to ``Operator.process``."""
-        return OperatorContext(now=self.sim.now, rng=self.rng, region_name=self.name)
+        """Context passed to ``Operator.process``: the region's one
+        context, stamped with the current time."""
+        self._ctx.now = self.sim.now
+        return self._ctx
 
     # -- routing ------------------------------------------------------------
     def route_tuple(self, from_node: NodeRuntime, d_op: str, tup: StreamTuple, chain: int = 0) -> None:
@@ -463,14 +467,14 @@ class Region:
         ng = self.graph.node_graph(self.placement.chain_assignment(chain))
         if node_id not in ng:
             return []
-        return list(ng.predecessors(node_id))
+        return ng.predecessors(node_id)
 
     def downstream_nodes(self, node_id: str, chain: int = 0) -> List[str]:
         """Downstream neighbour nodes of ``node_id`` in one chain."""
         ng = self.graph.node_graph(self.placement.chain_assignment(chain))
         if node_id not in ng:
             return []
-        return list(ng.successors(node_id))
+        return ng.successors(node_id)
 
     def source_node_ids(self, chain: int = 0) -> List[str]:
         """Nodes hosting source operators."""
@@ -765,24 +769,16 @@ class Region:
             critical = critical[~flagged[critical]]
             if not (dead.size or critical.size):
                 continue
-            dead_list, crit_list = dead.tolist(), critical.tolist()
-            di = ci = 0
-            # Two-pointer merge: both lists are ascending and disjoint.
-            while di < len(dead_list) or ci < len(crit_list):
-                take_dead = ci >= len(crit_list) or (
-                    di < len(dead_list) and dead_list[di] < crit_list[ci]
-                )
-                if take_dead:
-                    pid = fleet.id_at(dead_list[di])
-                    di += 1
+            dead_set = set(dead.tolist())
+            # Both arrays ascend and are disjoint: visit them in index order.
+            for i in sorted(dead_set.union(critical.tolist())):
+                pid = fleet.id_at(i)
+                if i in dead_set:
                     self.trace.record(
                         self.sim.now, "battery_dead", region=self.name, phone=pid
                     )
                     self.apply_crash(pid, reason="battery dead")
                 else:
-                    i = crit_list[ci]
-                    ci += 1
-                    pid = fleet.id_at(i)
                     flagged[i] = True
                     self.trace.record(
                         self.sim.now, "battery_critical", region=self.name, phone=pid,

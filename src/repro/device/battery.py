@@ -67,7 +67,8 @@ class Battery:
         """Remove ``joules`` (clamped at zero)."""
         if joules < 0:
             raise ValueError("cannot drain negative energy")
-        self.remaining_j = max(0.0, self.remaining_j - joules)
+        remaining = self.remaining_j - joules
+        self.remaining_j = remaining if remaining > 0.0 else 0.0
 
     def drain_idle(self, seconds: float) -> None:
         """Account baseline draw over ``seconds``."""

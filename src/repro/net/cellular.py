@@ -146,7 +146,6 @@ class CellularNetwork:
             # Receiver disappeared mid-transfer: message is lost, but the
             # bandwidth was spent.
             return False
-        msg.created_at = self.sim.now
         deliver(msg)
         return True
 

@@ -55,7 +55,6 @@ class EthernetSwitch:
             self.trace.count("net.ethernet.bytes", msg.size)
         deliver = self._ports.get(msg.dst)
         if deliver is not None:
-            msg.created_at = self.sim.now
             deliver(msg)
         return True
 

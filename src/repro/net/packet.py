@@ -1,14 +1,15 @@
 """Message and fragmentation model.
 
 All traffic — data tuples, tokens, checkpoint blocks, bitmaps, control
-messages — is represented by :class:`Message`.  Only the *size* of a
-message affects timing; the ``payload`` rides along for protocol logic.
+messages — is represented by :class:`Message`, a ``__slots__`` class
+like :class:`~repro.core.tuples.StreamTuple` since one is allocated per
+tuple hop.  Only the *size* of a message affects timing; the ``payload``
+rides along for protocol logic.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import Any, Optional
 
 _msg_ids = itertools.count()
@@ -21,7 +22,6 @@ UDP_BLOCK_SIZE = 1024
 MTU = 1500
 
 
-@dataclass
 class Message:
     """A unit of network traffic.
 
@@ -39,21 +39,26 @@ class Message:
         ``"ckpt_block"``, ``"bitmap_query"``, ``"ping"``.
     payload:
         Arbitrary protocol data (not copied; treat as immutable).
-    created_at:
-        Virtual send time, stamped by the transport.
     """
 
-    src: Any
-    dst: Optional[Any]
-    size: int
-    kind: str
-    payload: Any = None
-    created_at: float = 0.0
-    msg_id: int = field(default_factory=lambda: next(_msg_ids))
+    __slots__ = ("src", "dst", "size", "kind", "payload", "msg_id")
 
-    def __post_init__(self) -> None:
-        if self.size < 0:
-            raise ValueError(f"message size must be >= 0, got {self.size}")
+    def __init__(
+        self,
+        src: Any,
+        dst: Optional[Any],
+        size: int,
+        kind: str,
+        payload: Any = None,
+    ) -> None:
+        if size < 0:
+            raise ValueError(f"message size must be >= 0, got {size}")
+        self.src = src
+        self.dst = dst
+        self.size = size
+        self.kind = kind
+        self.payload = payload
+        self.msg_id = next(_msg_ids)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

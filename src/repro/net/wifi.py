@@ -239,7 +239,6 @@ class WifiCell:
         finally:
             self.channel.release(req)
         self._count(size)
-        msg.created_at = self.sim.now
         deliver = self._members.get(msg.dst)
         if deliver is None:
             return False
@@ -419,8 +418,9 @@ class WifiCell:
 
     def _tcp_airtime(self, msg: Message):
         """(wire size, airtime) of a reliable transfer of ``msg``."""
-        size = msg.size + self.config.header_bytes
-        return size, transmission_time(size, self.reliable_goodput())
+        config = self.config
+        size = msg.size + config.header_bytes
+        return size, transmission_time(size, config.bandwidth_bps * (1.0 - config.mean_loss))
 
     def _tcp_deliver(self, msg: Message, size: int) -> bool:
         """Charge a finished transfer's bytes and schedule its delivery;
@@ -429,7 +429,6 @@ class WifiCell:
         deliver = self._members.get(msg.dst)
         if deliver is None:
             return False
-        msg.created_at = self.sim.now
         self.sim.call_in(self.config.latency_s, deliver, msg)
         return True
 

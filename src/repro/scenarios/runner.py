@@ -146,6 +146,14 @@ def run_case(
     harness, like the monitor, is observe-only and draws no
     randomness — the artifact row is byte-identical either way.
     """
+    if not gc.get_freeze_count():
+        # The first case a process runs (CLI, pool worker or in-process
+        # caller) freezes the start-up heap, ~26k objects the imports
+        # left, so the collection that ends each case walks only what the
+        # case made.  Once only: garbage frozen by a later freeze would
+        # never be collected.
+        gc.collect()
+        gc.freeze()
     app_key = AppRef.coerce(app).key
     system = build_system(spec, app, scheme, seed)
     harness = None

@@ -83,11 +83,6 @@ class Process(Event):
         sim._schedule(init, priority=0)
 
     @property
-    def target(self) -> Optional[Event]:
-        """The event the process is currently waiting for."""
-        return self._target
-
-    @property
     def is_alive(self) -> bool:
         """True while the generator has not finished."""
         return self._value is PENDING
@@ -117,7 +112,7 @@ class Process(Event):
         granted on the spot) is fed straight back into the generator in
         the same step, without a trip through the queue.
         """
-        if not self.is_alive:
+        if self._value is not PENDING:
             # Late interrupt or stale callback after termination: drop it.
             return
         # Detach from the event we were waiting on (it may differ from

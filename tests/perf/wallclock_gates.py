@@ -18,7 +18,7 @@ import pytest
 
 from repro.net.loss import BernoulliLoss
 from repro.net.wifi import WifiCell
-from repro.scenarios import MatrixSpec, TelemetrySpec, get, run_sweep
+from repro.scenarios import MatrixSpec, TelemetrySpec, get, run_sweep, runner
 from repro.scenarios.runner import run_case
 from repro.scenarios.spec import ScenarioSpec
 from repro.sim.core import Simulator
@@ -118,6 +118,50 @@ def test_verify_armed_overhead_within_bound():
     armed()  # warm-up
     _overhead_gate(lambda: run_case(spec, "bcp", "ms-8", 3), armed,
                    0.10, "armed-harness")
+
+
+class _TimedGC:
+    """Stands in for the ``gc`` module inside the runner: times each
+    ``collect`` and, with ``freeze=False``, keeps the runner from
+    freezing the heap."""
+
+    def __init__(self, freeze: bool) -> None:
+        self._freeze = freeze
+        self.seconds = []
+
+    def get_freeze_count(self) -> int:
+        return gc.get_freeze_count() if self._freeze else 1
+
+    def freeze(self) -> None:
+        gc.freeze()
+
+    def collect(self, *args) -> int:
+        t0 = time.perf_counter()
+        n = gc.collect(*args)
+        self.seconds.append(time.perf_counter() - t0)
+        return n
+
+
+def _post_case_collect(monkeypatch, spec, freeze: bool) -> float:
+    """Seconds of the collection that ends one case."""
+    timed = _TimedGC(freeze)
+    monkeypatch.setattr(runner, "gc", timed)
+    run_case(spec, "bcp", "ms-8", 3)
+    return timed.seconds[-1]
+
+
+def test_frozen_start_up_heap_halves_the_post_case_collection(monkeypatch):
+    """The collection that ends a quick paper-fig8 case takes at most
+    half as long as the same collection with the start-up heap
+    unfrozen; measured ~0.1x."""
+    spec = get("paper-fig8").quick()
+    run_case(spec, "bcp", "ms-8", 3)  # warm-up; freezes the start-up heap
+    frozen, unfrozen = [], []
+    for _ in range(BEST_OF):
+        frozen.append(_post_case_collect(monkeypatch, spec, freeze=True))
+        gc.unfreeze()  # the next frozen arm's run_case freezes it again
+        unfrozen.append(_post_case_collect(monkeypatch, spec, freeze=False))
+    assert min(frozen) <= 0.5 * min(unfrozen), (frozen, unfrozen)
 
 
 @pytest.mark.skipif(os.cpu_count() in (None, 1),
