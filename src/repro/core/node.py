@@ -170,12 +170,6 @@ class NodeRuntime:
     def _next_item(self) -> Optional[Tuple[Any, Tuple]]:
         """Round-robin pop across unblocked, non-empty channels."""
         n = len(self._channel_order)
-        if n == 1:  # the common case; _rr_index stays 0
-            channel = self._channel_order[0]
-            q = self._queues.get(channel)
-            if q and channel not in self._blocked:
-                return channel, q.popleft()
-            return None
         for step in range(n):
             idx = (self._rr_index + step) % n
             channel = self._channel_order[idx]

@@ -10,7 +10,7 @@ independent chains whose outputs are deduplicated at the sink.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.graph import GraphError, QueryGraph
 
@@ -31,8 +31,8 @@ class Placement:
         self.replication_factor = factors.pop()
         if self.replication_factor < 1:
             raise PlacementError("replication factor must be >= 1")
-        self._assignment: Dict[str, List[str]] = {
-            op: list(nodes) for op, nodes in assignment.items()
+        self._assignment: Dict[str, Tuple[str, ...]] = {
+            op: tuple(nodes) for op, nodes in assignment.items()
         }
         for op, nodes in self._assignment.items():
             if len(set(nodes)) != len(nodes):
@@ -43,8 +43,8 @@ class Placement:
         """All placed operator names."""
         return list(self._assignment)
 
-    def nodes_for(self, op_name: str) -> List[str]:
-        """Hosting node ids for an operator (index = chain); the live list."""
+    def nodes_for(self, op_name: str) -> Tuple[str, ...]:
+        """Hosting node ids for an operator (index = chain)."""
         return self._assignment[op_name]
 
     def node_for(self, op_name: str, chain: int = 0) -> str:
@@ -84,13 +84,14 @@ class Placement:
         if old_node == new_node:
             return
         for op, nodes in self._assignment.items():
-            for r, nid in enumerate(nodes):
-                if nid == old_node:
-                    if new_node in nodes:
-                        raise PlacementError(
-                            f"cannot move {op!r}: {new_node!r} already hosts a replica"
-                        )
-                    nodes[r] = new_node
+            if old_node in nodes:
+                if new_node in nodes:
+                    raise PlacementError(
+                        f"cannot move {op!r}: {new_node!r} already hosts a replica"
+                    )
+                self._assignment[op] = tuple(
+                    new_node if nid == old_node else nid for nid in nodes
+                )
 
     def validate(self, graph: QueryGraph, available_nodes: Sequence[str]) -> None:
         """Check coverage and host availability; node-level acyclicity per chain."""

@@ -418,9 +418,8 @@ class WifiCell:
 
     def _tcp_airtime(self, msg: Message):
         """(wire size, airtime) of a reliable transfer of ``msg``."""
-        config = self.config
-        size = msg.size + config.header_bytes
-        return size, transmission_time(size, config.bandwidth_bps * (1.0 - config.mean_loss))
+        size = msg.size + self.config.header_bytes
+        return size, transmission_time(size, self.reliable_goodput())
 
     def _tcp_deliver(self, msg: Message, size: int) -> bool:
         """Charge a finished transfer's bytes and schedule its delivery;

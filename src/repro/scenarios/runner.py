@@ -145,13 +145,18 @@ def run_case(
     observes the run and the result carries any violations.  The
     harness, like the monitor, is observe-only and draws no
     randomness — the artifact row is byte-identical either way.
+
+    The first call in a process changes its garbage collector for good:
+    it runs a full collection and then ``gc.freeze()`` on the caller's
+    whole heap.  Every object alive at that moment stays in the
+    permanent generation, so a reference cycle among them that dies
+    later is never reclaimed (``gc.unfreeze()`` undoes the freeze).
     """
     if not gc.get_freeze_count():
-        # The first case a process runs (CLI, pool worker or in-process
-        # caller) freezes the start-up heap, ~26k objects the imports
-        # left, so the collection that ends each case walks only what the
-        # case made.  Once only: garbage frozen by a later freeze would
-        # never be collected.
+        # The start-up heap, ~26k objects the imports left, is frozen so
+        # the collection that ends each case walks only what the case
+        # made.  Once only: garbage frozen by a later freeze would never
+        # be collected.
         gc.collect()
         gc.freeze()
     app_key = AppRef.coerce(app).key

@@ -83,6 +83,16 @@ def test_reassign_node():
     assert "n1" not in p.used_nodes()
 
 
+def test_nodes_for_cannot_change_the_placement():
+    p = Placement.from_groups({"n0": ["S"]}).replicate(["n0", "n1"], 2)
+    hosts = p.nodes_for("S")
+    with pytest.raises(TypeError):
+        hosts[0] = "n9"  # type: ignore[index]
+    p.reassign_node("n0", "n9")
+    assert hosts == ("n0", "n1")  # a held result is a snapshot
+    assert p.nodes_for("S") == ("n9", "n1")
+
+
 def test_reassign_noop_same_node():
     p = Placement.from_groups({"n0": ["S"]})
     p.reassign_node("n0", "n0")
